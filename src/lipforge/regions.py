@@ -140,20 +140,29 @@ class BoxUnion(Region):
     def segment_inside_length(self, P0, step):
         """Vectorized length of [p, p+step] inside the union, per row of P0.
 
-        Exact for pairwise-disjoint boxes; overlapping boxes are summed and
-        clamped at the full segment length.
+        Exact: every box clips the segment to a parameter interval and the
+        intervals of a row are merged, so a stretch covered by several
+        overlapping (or repeated) boxes counts once.
         """
         P0 = np.atleast_2d(np.asarray(P0, dtype=float))
+        rows = np.repeat(np.arange(len(P0)), self.n_boxes)
+        boxes = np.tile(np.arange(self.n_boxes), len(P0))
+        return self._pairs_inside_length(P0, step, rows, boxes)
+
+    def _pairs_inside_length(self, P0, step, rows, boxes):
+        """segment_inside_length clipping only the listed (row, box) index
+        pairs; every pair left out must be one whose segment misses its box."""
         step = np.asarray(step, dtype=float)
         slen = float(np.linalg.norm(step))
         if slen == 0.0:
             return np.zeros(len(P0))
-        t0 = np.zeros((len(P0), self.n_boxes))
-        t1 = np.ones((len(P0), self.n_boxes))
+        P = P0[rows]
+        t0 = np.zeros(len(rows))
+        t1 = np.ones(len(rows))
         for ax in range(self.dim):
             s = step[ax]
-            lo = self.lo[None, :, ax] - P0[:, None, ax]
-            hi = self.hi[None, :, ax] - P0[:, None, ax]
+            lo = self.lo[boxes, ax] - P[:, ax]
+            hi = self.hi[boxes, ax] - P[:, ax]
             if s > 0:
                 t0 = np.maximum(t0, lo / s)
                 t1 = np.minimum(t1, hi / s)
@@ -161,11 +170,10 @@ class BoxUnion(Region):
                 t0 = np.maximum(t0, hi / s)
                 t1 = np.minimum(t1, lo / s)
             else:
-                ok = (P0[:, None, ax] >= self.lo[None, :, ax]) & (
-                    P0[:, None, ax] <= self.hi[None, :, ax]
-                )
+                ok = (P[:, ax] >= self.lo[boxes, ax]) & (P[:, ax] <= self.hi[boxes, ax])
                 t1 = np.where(ok, t1, -1.0)
-        frac = np.clip(t1 - t0, 0.0, 1.0).sum(axis=1)
+        hit = t1 > t0
+        frac = _union_length(rows[hit], t0[hit], t1[hit], len(P0))
         return np.minimum(frac, 1.0) * slen
 
     def to_doc(self):
@@ -176,6 +184,22 @@ class BoxUnion(Region):
             "open": self.open,
             "meta": self.meta,
         }
+
+
+def _union_length(rows, t0, t1, n):
+    """Length of the union of the intervals [t0, t1] (0 <= t0 < t1) that
+    share a row, for each row in range(n)."""
+    order = np.lexsort((t0, rows))
+    rows, t0, t1 = rows[order], t0[order], t1[order]
+    # running max of t1 within each row: complex maxima compare (row, t1)
+    # lexicographically, and rows are sorted, so the max restarts per row
+    reach = np.maximum.accumulate(rows + 1j * t1).imag
+    covered = np.zeros(len(rows))
+    same = rows[1:] == rows[:-1]
+    covered[1:][same] = reach[:-1][same]
+    # each interval adds what lies beyond the ones sorted before it
+    added = np.maximum(t1 - np.maximum(t0, covered), 0.0)
+    return np.bincount(rows, weights=added, minlength=n)
 
 
 class BallUnion(Region):
@@ -394,14 +418,9 @@ class LatticeDP:
 
     def _edge_lengths(self, step_ij):
         step = np.array(step_ij, dtype=float) * self.h
-        if hasattr(self.G, "segment_inside_length"):
-            # chunk to cap the (nodes x boxes) clipping workspace
-            out = np.empty(self.n)
-            chunk = max(1, 2_000_000 // max(1, getattr(self.G, "n_boxes", 1)))
-            for s in range(0, self.n, chunk):
-                out[s:s + chunk] = self.G.segment_inside_length(
-                    self.nodes[s:s + chunk], step)
-            return out
+        if isinstance(self.G, BoxUnion):
+            return self.G._pairs_inside_length(self.nodes, step,
+                                               *self._box_pairs(step))
         # sub-sampling fallback: 16 midpoints per edge
         ts = (np.arange(16) + 0.5) / 16.0
         slen = float(np.linalg.norm(step))
@@ -409,6 +428,28 @@ class LatticeDP:
         for t in ts:
             total += self.G.contains(self.nodes + t * step)
         return total / 16.0 * slen
+
+    def _box_pairs(self, step):
+        """(node, box) index pairs whose edge [p, p + step] can meet the box.
+
+        Along each axis the edge from p meets box b only if p lies in
+        [lo_b - max(step, 0), hi_b - min(step, 0)]; that window of node
+        indices, widened by one cell against rounding, is all a box reaches.
+        """
+        G = self.G
+        n = np.array(self.shape)
+        first = np.floor((G.lo - np.maximum(step, 0.0) - self.lo) / self.h) - 1
+        last = np.ceil((G.hi - np.minimum(step, 0.0) - self.lo) / self.h) + 1
+        first = np.clip(first, 0, n).astype(np.int64)
+        last = np.clip(last, -1, n - 1).astype(np.int64)
+        size = np.maximum(last - first + 1, 0)
+        count = size[:, 0] * size[:, 1]
+        boxes = np.repeat(np.arange(G.n_boxes), count)
+        k = np.arange(len(boxes)) - np.repeat(np.cumsum(count) - count, count)
+        cols = size[boxes, 1]
+        ii = first[boxes, 0] + k // cols
+        jj = first[boxes, 1] + k % cols
+        return ii * self.shape[1] + jj, boxes
 
     def _run(self):
         spec = self.spec

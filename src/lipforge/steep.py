@@ -25,8 +25,8 @@ from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, OuterFn, PlateauFn,
                  ProductFn, SumFn, VecScaleFn, ZeroFn)
 from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
                       LatticeDP, Region, box_region, pu_cover, xi_estimate)
-from .smooth import MollifierSpec, mollify, uniform_diff_radius
-from .spaces import Functional, LinOp, cyl_constant
+from .smooth import MollifierSpec, mollify
+from .spaces import Functional, LinOp, cyl_constant, op_norm_upper
 from .verify import fd_jacobian
 
 
@@ -58,21 +58,6 @@ class SteepSpec:
         pn = self.P.dual_norm
         if pn > 0 and abs(float(self.P(v)) - pn) > 1e-9 * max(1.0, pn):
             raise InputError("attain direction does not attain the dual norm")
-
-
-def _bilinear(values, lo, h, pts):
-    """Sample a 2-d array bilinearly at pts, clamped at the array edges."""
-    nx, ny = values.shape
-    u = np.clip((pts[:, 0] - lo[0]) / h, 0.0, nx - 1.0)
-    v = np.clip((pts[:, 1] - lo[1]) / h, 0.0, ny - 1.0)
-    i0 = np.minimum(u.astype(int), nx - 2) if nx > 1 else np.zeros(len(pts), int)
-    j0 = np.minimum(v.astype(int), ny - 2) if ny > 1 else np.zeros(len(pts), int)
-    fu = u - i0
-    fv = v - j0
-    i1 = np.minimum(i0 + 1, nx - 1)
-    j1 = np.minimum(j0 + 1, ny - 1)
-    return (values[i0, j0] * (1 - fu) * (1 - fv) + values[i1, j0] * fu * (1 - fv)
-            + values[i0, j1] * (1 - fu) * fv + values[i1, j1] * fu * fv)
 
 
 def build_steep(spec: SteepSpec) -> LipFn:
@@ -138,8 +123,9 @@ def build_steep(spec: SteepSpec) -> LipFn:
 
     s_grid = np.arange(0.0, smax + spec.s_res, spec.s_res)
     vals = np.full(len(nodes), -np.inf)
+    best_fn = GridFn2D(dp.lo, h, best)
     for s in s_grid:
-        cand = _bilinear(best, dp.lo, h, nodes + s * v) - s
+        cand = best_fn.eval(nodes + s * v)[:, 0] - s
         np.maximum(vals, cand, out=vals)
     vals = np.maximum(vals, 0.0) * pn
 
@@ -436,10 +422,7 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
         keep = H.contains(raw) & (H.dist_to_boundary(raw) > fd_step * 1.5)
         pts = raw[keep][:n_points]
         out["n_H_points"] = int(len(pts))
-        for x in pts:
-            J = fd_jacobian(g, x, fd_step)
-            from .spaces import op_norm_upper
-
+        for J in fd_jacobian(g, pts, fd_step):
             worst_fd = max(worst_fd, op_norm_upper(J - T.matrix, T.dom, T.cod))
     out["fd_residual"] = float(worst_fd)
     out["fd_ok"] = bool(worst_fd <= theta + gap + 1e-9)

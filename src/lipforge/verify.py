@@ -184,15 +184,18 @@ def dini_check(f: LipFn, x, v, tgrid, margin=1e-3, exact=False) -> DiniReport:
 
 
 def fd_jacobian(f: LipFn, x, h):
-    """Central-difference Jacobian (l, d)."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = len(x)
-    cols = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    """Central-difference Jacobian: (l, d) at a point x, or (n, l, d) at
+    each row of an (n, d) batch, from one evaluation of f at all 2 d n
+    shifted points."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    n, d = X.shape
+    E = h * np.eye(d)
+    shifted = np.stack([X[:, None, :] + E, X[:, None, :] - E], axis=2)
+    F = f.eval(shifted.reshape(-1, d))
+    F = F.reshape(n, d, 2, F.shape[1])
+    J = ((F[:, :, 0] - F[:, :, 1]) / (2.0 * h)).transpose(0, 2, 1)
+    return J[0] if x.ndim < 2 else J
 
 
 def c1_check(f: LipFn, U, pts, steps=(1e-3, 5e-4), rich_tol=0.15):

@@ -27,6 +27,82 @@ def test_segment_inside_length_exact_oracle():
     assert float(ln[0]) == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
+def test_segment_inside_length_counts_overlaps_once():
+    # a repeated box: the unit crossing from (-0.5, 0.5) spends 0.5 inside
+    box = box_region([0.0, 0.0], [1.0, 1.0])
+    dup = BoxUnion([box.lo[0], box.lo[0]], [box.hi[0], box.hi[0]])
+    ln = dup.segment_inside_length(np.array([[-0.5, 0.5]]), np.array([1.0, 0.0]))
+    assert float(ln[0]) == 0.5
+    # partly overlapping boxes covering [0, 1.5] of the x-axis band
+    G = BoxUnion([[0.0, 0.0], [0.5, 0.0]], [[1.0, 1.0], [1.5, 1.0]])
+    ln = G.segment_inside_length(np.array([[-0.5, 0.5]]), np.array([2.5, 0.0]))
+    assert float(ln[0]) == pytest.approx(1.5, abs=1e-12)
+
+
+def _merged_lengths(G, nodes, step):
+    """Per-node union length of the segments inside G: each box's parameter
+    interval, sorted and merged in plain Python."""
+    out = []
+    for p in nodes:
+        ivs = []
+        for lo, hi in zip(G.lo, G.hi):
+            t0, t1 = 0.0, 1.0
+            for ax in range(2):
+                s = float(step[ax])
+                if s > 0:
+                    t0 = max(t0, (lo[ax] - p[ax]) / s)
+                    t1 = min(t1, (hi[ax] - p[ax]) / s)
+                elif s < 0:
+                    t0 = max(t0, (hi[ax] - p[ax]) / s)
+                    t1 = min(t1, (lo[ax] - p[ax]) / s)
+                elif not lo[ax] <= p[ax] <= hi[ax]:
+                    t1 = -1.0
+            if t1 > t0:
+                ivs.append((t0, t1))
+        total, reach = 0.0, 0.0
+        for a, b in sorted(ivs):
+            if b > reach:
+                total += b - max(a, reach)
+                reach = b
+        out.append(total * float(np.linalg.norm(step)))
+    return np.array(out)
+
+
+def test_edge_lengths_match_interval_merge_oracle(l2_2):
+    rng = np.random.default_rng(11)
+    h = 0.125
+    for trial in range(8):
+        nb = int(rng.integers(2, 7))
+        lo = rng.uniform(0.0, 0.7, (nb, 2))
+        hi = lo + rng.uniform(0.05, 0.5, (nb, 2))
+        if trial % 2:
+            # box faces on lattice lines, so edges run along them
+            lo, hi = np.round(lo / h) * h, np.round(hi / h) * h + h
+        lo[-1], hi[-1] = lo[0], hi[0]  # always one repeated box
+        G = BoxUnion(lo, hi, open_=bool(trial % 4 < 2))
+        # P = e1 and P = e2 admit the axis-parallel steps
+        c = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+             rng.normal(size=2)][trial % 3]
+        cs = CurveSpec(Functional(c / np.linalg.norm(c), l2_2), 0.2, h, k=2)
+        dp = LatticeDP(G, cs, pad=2)
+        for st in cs.step_set:
+            step = np.array(st, dtype=float) * h
+            got = dp._edge_lengths(st)
+            want = _merged_lengths(G, dp.nodes, step)
+            assert np.max(np.abs(got - want)) <= 1e-12, (trial, st)
+
+
+def test_xi_estimate_ignores_repeated_boxes(l2_2):
+    # lattice step 0.3 leaves edges that cross the box boundary part-way
+    box = box_region([0.0, 0.0], [1.0, 1.0])
+    dup = BoxUnion([box.lo[0], box.lo[0]], [box.hi[0], box.hi[0]])
+    cs = CurveSpec(Functional([1.0, 0.0], l2_2), 0.3, 0.3, k=3)
+    v1, gap1, wit1 = xi_estimate(box, cs)
+    v2, gap2, wit2 = xi_estimate(dup, cs)
+    assert v2 == v1 and gap2 == gap1
+    assert np.array_equal(wit2, wit1)
+
+
 def test_dist_to_boundary():
     G = box_region([0.0, 0.0], [2.0, 2.0])
     d = G.dist_to_boundary(np.array([[1.0, 1.0], [0.25, 1.0]]))

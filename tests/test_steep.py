@@ -58,6 +58,18 @@ def test_dp_equals_exhaustive_oracle(l2_2, rng):
         dp = LatticeDP(G, cs, bbox=bbox, pad=0)
         oracle = enumerate_steep_oracle(G, cs, bbox)
         assert dp.value() == pytest.approx(oracle, abs=1e-9)
+    # overlapping boxes, one of them repeated: the union's value is that of
+    # the boxes without the repeat
+    lo = np.array([[0.1, 0.15], [0.3, 0.35], [0.1, 0.15]])
+    hi = np.array([[0.55, 0.6], [0.8, 0.9], [0.55, 0.6]])
+    cs = CurveSpec(Functional([0.6, 0.8], l2_2), 0.3, 0.25, k=2)
+    bbox = (np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    value = LatticeDP(BoxUnion(lo, hi), cs, bbox=bbox, pad=0).value()
+    assert value == pytest.approx(
+        enumerate_steep_oracle(BoxUnion(lo, hi), cs, bbox), abs=1e-12)
+    assert value == pytest.approx(
+        LatticeDP(BoxUnion(lo[:2], hi[:2]), cs, bbox=bbox, pad=0).value(),
+        abs=1e-12)
 
 
 def test_steep_properties_within_gap(l2_2):

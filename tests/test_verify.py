@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lipforge.errors import DomainError
-from lipforge.fn import DistFn, LinearFn, SumFn, ZeroFn
+from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, PlateauFn,
+                         ProductFn, SumFn, ZeroFn)
 from lipforge.regions import box_region
 from lipforge.smooth import MollifierSpec, mollify
 from lipforge.spaces import LinOp, lp_space
@@ -76,20 +77,34 @@ def test_dini_negative_norm_flag_true(l2_2):
     assert rep.empty_flag
 
 
+class Poly(LinearFn):
+    """f(x, y) = (x^2 + y, x y), with an analytic Jacobian oracle."""
+
+    def __init__(self):
+        super().__init__(np.zeros((2, 2)))
+
+    def eval(self, X):
+        return np.stack([X[:, 0] ** 2 + X[:, 1], X[:, 0] * X[:, 1]], axis=1)
+
+
 def test_fd_jacobian_polynomial():
-    # f(x, y) = (x^2 + y, x y) has an analytic Jacobian oracle
-    class Poly(LinearFn):
-        def __init__(self):
-            super().__init__(np.zeros((2, 2)))
-
-        def eval(self, X):
-            return np.stack([X[:, 0] ** 2 + X[:, 1], X[:, 0] * X[:, 1]], axis=1)
-
     f = Poly()
     x = np.array([0.4, -0.3])
     J = fd_jacobian(f, x, 1e-5)
     want = np.array([[2 * x[0], 1.0], [x[1], x[0]]])
     assert np.allclose(J, want, atol=1e-8)
+
+
+def test_fd_jacobian_batch_equals_single_points():
+    rng = np.random.default_rng(5)
+    grid = GridFn2D([-1.0, -1.0], 0.1, rng.uniform(-1, 1, (21, 21)))
+    plateau = PlateauFn([-1.0, -1.0], [1.0, 1.0], [-0.5, -0.5], [0.5, 0.5])
+    composite = ProductFn(plateau, SumFn([grid, ConstFn([-0.25], 2)]))
+    X = rng.uniform(-1.2, 1.2, (40, 2))
+    for f in (Poly(), composite):
+        J = fd_jacobian(f, X, 1e-3)
+        assert J.shape == (len(X), f.l, 2)
+        assert np.array_equal(J, np.stack([fd_jacobian(f, x, 1e-3) for x in X]))
 
 
 def test_c1_check_passes_smooth_fails_kink(l2_2):
