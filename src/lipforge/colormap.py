@@ -31,9 +31,3 @@ def _build_table():
 
 TABLE = _build_table()
 
-
-def color_hex(t):
-    """Hex color for t in [0, 1] (clamped)."""
-    i = int(np.clip(round(float(t) * 255.0), 0, 255))
-    r, g, b = TABLE[i]
-    return "#%02x%02x%02x" % (r, g, b)

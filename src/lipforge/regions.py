@@ -111,22 +111,24 @@ class BoxUnion(Region):
 
     def contains(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.open:
-            inside = (X[:, None, :] > self.lo[None]) & (X[:, None, :] < self.hi[None])
-        else:
-            inside = (X[:, None, :] >= self.lo[None]) & (X[:, None, :] <= self.hi[None])
-        return inside.all(axis=2).any(axis=1)
+        inside = np.ones((len(X), self.n_boxes), dtype=bool)
+        for ax in range(self.dim):
+            x = X[:, ax, None]
+            if self.open:
+                inside &= (x > self.lo[:, ax]) & (x < self.hi[:, ax])
+            else:
+                inside &= (x >= self.lo[:, ax]) & (x <= self.hi[:, ax])
+        return inside.any(axis=1)
 
     def dist_to_boundary(self, X):
+        """|min over boxes of max over axes of max(lo - x, x - hi)|: the
+        largest inside margin of a containing box, else the smallest gap."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        margin_in = np.minimum(X[:, None, :] - self.lo[None], self.hi[None] - X[:, None, :])
-        per_box_in = margin_in.min(axis=2)  # >0 strictly inside box
-        inside = per_box_in > 0 if self.open else per_box_in >= 0
-        best_in = np.where(inside, per_box_in, -np.inf).max(axis=1)
-        gap = np.maximum(np.maximum(self.lo[None] - X[:, None, :], X[:, None, :] - self.hi[None]), 0.0)
-        per_box_out = gap.max(axis=2)
-        best_out = per_box_out.min(axis=1)
-        return np.where(best_in > -np.inf, best_in, best_out)
+        signed = np.full((len(X), self.n_boxes), -np.inf)
+        for ax in range(self.dim):
+            x = X[:, ax, None]
+            signed = np.maximum(signed, np.maximum(self.lo[:, ax] - x, x - self.hi[:, ax]))
+        return np.abs(signed.min(axis=1))
 
     def bbox(self):
         return self.lo.min(axis=0), self.hi.max(axis=0)
@@ -397,7 +399,14 @@ class CurveSpec:
 
 
 class LatticeDP:
-    """Longest in-G path over the lattice DAG ordered by the P-value."""
+    """Longest in-G path over the lattice DAG ordered by the P-value.
+
+    Nodes are swept in bins floor((P(x) - min P) / (w / 2)), where w is the
+    smallest P-increment of an admissible step. Every edge raises P by at
+    least w, so it leaves an earlier bin: all sources of a bin are final
+    before the bin is swept, whatever the bin boundaries. A node takes the
+    first step, in step order, that attains its best value.
+    """
 
     def __init__(self, G, spec: CurveSpec, bbox=None, pad=1):
         self.G = G
@@ -454,36 +463,32 @@ class LatticeDP:
     def _run(self):
         spec = self.spec
         nx, ny = self.shape
+        steps = np.array(spec.step_set, dtype=np.int64)
         pv = self.nodes @ spec.P.coeffs
-        incs = [spec.P(np.array(s, dtype=float)) * self.h for s in spec.step_set]
-        qtol = min(incs) / 4.0
-        order = np.argsort(pv, kind="stable")
+        width = min(spec.P(s.astype(float)) for s in steps) * self.h / 2.0
+        bins = np.floor((pv - pv.min()) / width).astype(np.int64)
+        order = np.argsort(bins, kind="stable")
+        starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
+        ends = np.append(starts[1:], self.n)
+        elens = np.empty((len(steps), self.n))
+        for sidx, s in enumerate(spec.step_set):
+            elens[sidx] = self._edge_lengths(s)
         best = np.zeros(self.n)
         parent = np.full(self.n, -1, dtype=np.int64)
-        elens = [self._edge_lengths(s) for s in spec.step_set]
-        offsets = [si * ny + sj for si, sj in spec.step_set]
-
-        # group nodes whose P-values agree within qtol (no intra-group edges)
-        sorted_pv = pv[order]
-        breaks = np.nonzero(np.diff(sorted_pv) > qtol)[0] + 1
-        groups = np.split(order, breaks)
-
-        ii = np.arange(self.n) // ny
-        jj = np.arange(self.n) % ny
-        for grp in groups:
-            for sidx, (si, sj) in enumerate(spec.step_set):
-                src_i = ii[grp] - si
-                src_j = jj[grp] - sj
-                ok = (src_i >= 0) & (src_i < nx) & (src_j >= 0) & (src_j < ny)
-                if not ok.any():
-                    continue
-                tgt = grp[ok]
-                src = src_i[ok] * ny + src_j[ok]
-                cand = best[src] + elens[sidx][src]
-                upd = cand > best[tgt]
-                if upd.any():
-                    best[tgt[upd]] = cand[upd]
-                    parent[tgt[upd]] = src[upd] * len(spec.step_set) + sidx
+        rows = np.arange(len(steps))[:, None]
+        for a, b in zip(starts, ends):
+            tgt = order[a:b]
+            src_i = tgt // ny - steps[:, :1]
+            src_j = tgt % ny - steps[:, 1:]
+            ok = (src_i >= 0) & (src_i < nx) & (src_j >= 0) & (src_j < ny)
+            src = np.where(ok, src_i * ny + src_j, 0)
+            cand = np.where(ok, best[src] + elens[rows, src], -np.inf)
+            sidx = cand.argmax(axis=0)
+            cols = np.arange(len(tgt))
+            top = cand[sidx, cols]
+            upd = top > best[tgt]
+            best[tgt[upd]] = top[upd]
+            parent[tgt[upd]] = src[sidx, cols][upd] * len(steps) + sidx[upd]
         self.best = best
         self.parent = parent
         self.pv = pv

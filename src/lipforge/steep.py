@@ -168,20 +168,14 @@ def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     out["A-rate"] = (float(np.max(g2 - gv - pn * r)), gap)
 
     # (B): segments inside G with clearance from the boundary
-    inG = spec.G.contains(X)
-    resB = 0.0
-    if inG.any():
-        XB = X[inG]
-        db = spec.G.dist_to_boundary(XB)
-        for x, clear in zip(XB, db):
-            t = min(float(clear) * 0.5, 5 * spec.h)
-            if t <= 2 * spec.h:
-                continue
-            x2 = x + t * v
-            if not bool(spec.G.contains(x2[None])[0]):
-                continue
-            d = float(g(x2)[0] - g(x)[0] - pn * t)
-            resB = max(resB, abs(d))
+    idx = np.flatnonzero(spec.G.contains(X))
+    t = np.minimum(spec.G.dist_to_boundary(X[idx]) * 0.5, 5 * spec.h)
+    far = t > 2 * spec.h
+    idx, t = idx[far], t[far]
+    X2 = X[idx] + t[:, None] * v[None, :]
+    keep = spec.G.contains(X2)
+    d = g.eval(X2[keep])[:, 0] - gv[idx[keep]] - pn * t[keep]
+    resB = np.max(np.abs(d), initial=0.0)
     out["B-in-G"] = (float(resB), gap)
 
     # (ii): increments along ker P
@@ -202,16 +196,15 @@ def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     # (iii): lambda decomposition for sampled (x, w)
     W = rng.uniform(-0.5, 0.5, (n, 2)) * span
     pw = W @ P.coeffs
-    lam_res, lam_rng = 0.0, 0.0
-    for x, w, p in zip(X, W, pw):
-        if abs(p) < 1e-6:
-            continue
-        lam = float((g(x + p * v)[0] - g(x)[0]) / p)
-        lam_rng = max(lam_rng, -lam, lam - 1.0)
-        y_part = w - p * v
-        resid = abs(float(g(x + w)[0] - g(x + p * v)[0]))
-        bound = 2 * spec.alpha * pn / (1.0 - spec.alpha) * float(P.space.norm(y_part))
-        lam_res = max(lam_res, resid - bound)
+    sel = np.abs(pw) >= 1e-6
+    Xs, Ws, ps = X[sel], W[sel], pw[sel]
+    gpv = g.eval(Xs + ps[:, None] * v[None, :])[:, 0]
+    lam = (gpv - gv[sel]) / ps
+    lam_rng = np.max(np.maximum(-lam, lam - 1.0), initial=0.0)
+    resid = np.abs(g.eval(Xs + Ws)[:, 0] - gpv)
+    bound = (2 * spec.alpha * pn / (1.0 - spec.alpha)
+             * P.space.norm(Ws - ps[:, None] * v[None, :]))
+    lam_res = np.max(resid - bound, initial=0.0)
     out["iii-lambda-range"] = (float(lam_rng), gap / max(1e-9, pn * spec.h))
     out["iii-lambda-resid"] = (float(lam_res), gap)
     return out

@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from .colormap import color_hex
+from .colormap import TABLE
 from .errors import InputError
 from .serialize import enc_float
+
+_HEX = ["#%02x%02x%02x" % tuple(rgb) for rgb in TABLE]
 
 
 def heatmap_svg(values, bbox, title="", cell_px=4):
@@ -30,17 +32,19 @@ def heatmap_svg(values, bbox, title="", cell_px=4):
                   [enc_float(v) for v in np.asarray(bbox[1]).ravel()]))
     if title:
         out.append("<title>%s</title>" % title)
+    idx = np.clip(np.rint((values - vmin) / spread * 255.0), 0, 255).astype(int)
     for i in range(nx):
         for j in range(ny):
-            t = (values[i, j] - vmin) / spread
             # SVG y grows downward; flip so bbox hi_y is at the top
             out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
                        % (i * cell_px, (ny - 1 - j) * cell_px, cell_px,
-                          cell_px, color_hex(t)))
+                          cell_px, _HEX[idx[i, j]]))
     out.append("</svg>")
     return "\n".join(out)
 
 
 def write_heatmap(path, values, bbox, title="", cell_px=4):
+    # render before opening, so a field that cannot be drawn leaves no file
+    text = heatmap_svg(values, bbox, title=title, cell_px=cell_px)
     with open(path, "w") as fh:
-        fh.write(heatmap_svg(values, bbox, title=title, cell_px=cell_px))
+        fh.write(text)

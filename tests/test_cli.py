@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import lipforge
-from lipforge import gridfile
+from lipforge import gridfile, svg
+from lipforge.colormap import TABLE
 from lipforge.cli import run_cli
 from lipforge.fn import DistFn, LinearFn, fn_to_file_doc
 from lipforge.regions import box_region, gen_four_corner
-from lipforge.serialize import dec_float, dump_path, load_path
+from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
 
@@ -149,6 +150,58 @@ def test_plot_roundtrip_lfgf(files, tmp_path):
     svg2 = str(tmp_path / "f2.svg")
     assert run_cli(["plot", "--grid", lfgf, "--out", svg2]) == 0
     assert open(svg2).read().startswith("<svg")
+
+
+def _reference_heatmap(values, bbox, title="", cell_px=4):
+    """heatmap_svg written one cell at a time with Python's round()."""
+    nx, ny = values.shape
+    vmin, vmax = float(np.min(values)), float(np.max(values))
+    spread = vmax - vmin if vmax > vmin else 1.0
+    w, h = nx * cell_px, ny * cell_px
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+           'viewBox="0 0 %d %d">' % (w, h, w, h),
+           "<!-- range [%s, %s] bbox lo=%s hi=%s -->"
+           % (enc_float(vmin), enc_float(vmax),
+              [enc_float(v) for v in np.asarray(bbox[0]).ravel()],
+              [enc_float(v) for v in np.asarray(bbox[1]).ravel()])]
+    if title:
+        out.append("<title>%s</title>" % title)
+    for i in range(nx):
+        for j in range(ny):
+            t = float((values[i, j] - vmin) / spread)
+            r, g, b = TABLE[min(max(round(t * 255.0), 0), 255)]
+            out.append('<rect x="%d" y="%d" width="%d" height="%d" '
+                       'fill="#%02x%02x%02x"/>'
+                       % (i * cell_px, (ny - 1 - j) * cell_px, cell_px,
+                          cell_px, r, g, b))
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def test_heatmap_matches_per_cell_renderer():
+    rng = np.random.default_rng(4)
+    bbox = (np.array([-1.0, 0.5]), np.array([2.0, 3.0]))
+    fields = [
+        rng.normal(size=(13, 9)),
+        np.full((5, 7), 0.3),
+        # k/510 scales to k/2: every odd k is a rounding tie
+        rng.permutation(np.arange(511.0)).reshape(7, 73) / 510.0,
+        -3.0 + rng.integers(0, 511, (20, 20)) / 510.0 * 6.0,
+    ]
+    for values in fields:
+        for title in ("", "g"):
+            got = svg.heatmap_svg(values, bbox, title=title)
+            assert got == _reference_heatmap(values, bbox, title=title)
+
+
+def test_plot_nan_grid_leaves_no_svg(tmp_path):
+    vals = np.random.default_rng(0).random((8, 8, 1))
+    vals[2, 3, 0] = np.nan
+    lfgf = str(tmp_path / "nan.lfgf")
+    gridfile.write_grid(lfgf, vals, (np.zeros(2), np.ones(2)))
+    out = tmp_path / "nan.svg"
+    assert run_cli(["plot", "--grid", lfgf, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_exit_code_config_errors(files, tmp_path):

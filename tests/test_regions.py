@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipforge.errors import InputError
 from lipforge.regions import (BoxUnion, Complement, CurveSpec, EmptyRegion,
@@ -108,6 +111,52 @@ def test_dist_to_boundary():
     d = G.dist_to_boundary(np.array([[1.0, 1.0], [0.25, 1.0]]))
     assert float(d[0]) == pytest.approx(1.0)
     assert float(d[1]) == pytest.approx(0.25)
+
+
+def _per_box_oracle(lo, hi, open_, X):
+    """contains and dist_to_boundary of a box union, one box at a time: the
+    largest inside margin over the boxes holding x, else the smallest gap."""
+    inside, dist = [], []
+    for x in X.tolist():
+        best_in, best_out = None, math.inf
+        for bl, bh in zip(lo.tolist(), hi.tolist()):
+            axes = list(zip(x, bl, bh))
+            if open_:
+                held = all(a < xa < b for xa, a, b in axes)
+            else:
+                held = all(a <= xa <= b for xa, a, b in axes)
+            if held:
+                margin = min(min(xa - a, b - xa) for xa, a, b in axes)
+                best_in = margin if best_in is None else max(best_in, margin)
+            gap = max(max(a - xa, xa - b, 0.0) for xa, a, b in axes)
+            best_out = min(best_out, gap)
+        inside.append(best_in is not None)
+        dist.append(best_out if best_in is None else best_in)
+    return np.array(inside), np.array(dist)
+
+
+_eighths = st.integers(-8, 16).map(lambda k: k / 8.0)
+_box = st.tuples(_eighths, _eighths, st.integers(0, 6), st.integers(0, 6))
+_point = st.one_of(
+    st.tuples(*[st.integers(-24, 32).map(lambda k: k / 8.0)] * 2),
+    st.tuples(*[st.floats(-3.0, 4.0, allow_nan=False)] * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes=st.lists(_box, min_size=1, max_size=6),
+       repeats=st.integers(0, 2), open_=st.booleans(),
+       points=st.lists(_point, min_size=1, max_size=30))
+def test_dist_to_boundary_matches_per_box_oracle(boxes, repeats, open_, points):
+    # lattice corners put points on faces; zero widths give flat boxes;
+    # repeats and random corners give overlapping and repeated boxes
+    boxes = boxes + boxes[:repeats]
+    lo = np.array([[a, b] for a, b, _, _ in boxes])
+    hi = lo + np.array([[w, h] for _, _, w, h in boxes]) / 8.0
+    X = np.array(points, dtype=float)
+    G = BoxUnion(lo, hi, open_=open_)
+    inside, dist = _per_box_oracle(lo, hi, open_, X)
+    assert np.array_equal(G.contains(X), inside)
+    assert np.array_equal(G.dist_to_boundary(X), dist)
 
 
 def test_four_corner_counts_and_area():

@@ -70,6 +70,21 @@ def test_dp_equals_exhaustive_oracle(l2_2, rng):
     assert value == pytest.approx(
         LatticeDP(BoxUnion(lo[:2], hi[:2]), cs, bbox=bbox, pad=0).value(),
         abs=1e-12)
+    # 8x8 lattices with generic P: nodes whose P-values differ by less
+    # than the smallest step increment must still be swept after their
+    # sources (instances 3, 4 and 9 fail if such nodes share one pass)
+    rng8 = np.random.default_rng(3)
+    for trial in range(12):
+        nb = rng8.integers(1, 4)
+        lo = rng8.uniform(0, 0.8, (nb, 2))
+        hi = lo + rng8.uniform(0.05, 0.5, (nb, 2))
+        c = rng8.normal(size=2)
+        P = Functional(c / np.linalg.norm(c), l2_2)
+        cs = CurveSpec(P, float(rng8.uniform(0.1, 0.6)), 1.0 / 7.0, k=2)
+        G = BoxUnion(lo, hi, open_=bool(trial % 2))
+        value = LatticeDP(G, cs, bbox=bbox, pad=0).value()
+        assert value == pytest.approx(enumerate_steep_oracle(G, cs, bbox),
+                                      abs=1e-12), trial
 
 
 def test_steep_properties_within_gap(l2_2):
