@@ -15,23 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExactEvalUnsupported, InputError
-from .serialize import dec_float, dec_mat, dec_vec, enc_float, enc_mat, enc_vec
+from .serialize import CODECS, dec_float, dec_vec, decode_fields, encode_fields
 from .spaces import NormedSpace
 
 _REGISTRY = {}
+
+# the optional certified Lipschitz bound, written as "lip" when set
+LIP = ("lip", "lip_bound", "float?")
 
 
 def register(cls):
     _REGISTRY[cls.tag] = cls
     return cls
-
-
-def enc_frac(fr: Fraction):
-    return [str(fr.numerator), str(fr.denominator)]
-
-
-def dec_frac(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
 
 
 def as_fraction(v) -> Fraction:
@@ -67,7 +62,7 @@ class LipFn:
         raise ExactEvalUnsupported("node %s has no exact evaluation" % self.tag)
 
     def to_doc(self):
-        raise NotImplementedError
+        return encode_fields(self, {"node": self.tag})
 
     @staticmethod
     def from_doc(doc):
@@ -75,6 +70,15 @@ class LipFn:
         if tag not in _REGISTRY:
             raise InputError("unknown node tag %r" % tag)
         return _REGISTRY[tag]._from_doc(doc)
+
+    @classmethod
+    def _from_doc(cls, doc):
+        return decode_fields(cls, doc)
+
+
+CODECS["fn"] = (LipFn.to_doc, LipFn.from_doc)
+CODECS["fns"] = (lambda fs: [f.to_doc() for f in fs],
+                 lambda docs: [LipFn.from_doc(d) for d in docs])
 
 
 def fn_to_file_doc(fn: LipFn):
@@ -88,6 +92,7 @@ def fn_from_file_doc(doc):
 @register
 class ZeroFn(LipFn):
     tag = "zero"
+    fields = (("d", "d", "int"), ("l", "l", "int"))
     lip_bound = 0.0
 
     def eval(self, X):
@@ -100,17 +105,11 @@ class ZeroFn(LipFn):
     def eval_exact(self, x):
         return [Fraction(0)] * self.l
 
-    def to_doc(self):
-        return {"node": self.tag, "d": self.d, "l": self.l}
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(doc["d"], doc["l"])
-
 
 @register
 class ConstFn(LipFn):
     tag = "const"
+    fields = (("vec", "vec", "vec"), ("d", "d", "int"))
     lip_bound = 0.0
 
     def __init__(self, vec, d):
@@ -128,17 +127,11 @@ class ConstFn(LipFn):
     def eval_exact(self, x):
         return [as_fraction(v) for v in self.vec]
 
-    def to_doc(self):
-        return {"node": self.tag, "d": self.d, "vec": enc_vec(self.vec)}
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(dec_vec(doc["vec"]), doc["d"])
-
 
 @register
 class LinearFn(LipFn):
     tag = "linear"
+    fields = (("matrix", "matrix", "mat"), LIP)
 
     def __init__(self, matrix, lip_bound=None):
         m = np.asarray(matrix, dtype=float)
@@ -159,21 +152,11 @@ class LinearFn(LipFn):
         rows = [[as_fraction(v) for v in r] for r in self.matrix]
         return [sum(a * xi for a, xi in zip(r, x)) for r in rows]
 
-    def to_doc(self):
-        doc = {"node": self.tag, "matrix": enc_mat(self.matrix)}
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(dec_mat(doc["matrix"]), lip)
-
 
 @register
 class SumFn(LipFn):
     tag = "sum"
+    fields = (("terms", "terms", "fns"), ("coeffs", "coeffs", "floats"))
 
     def __init__(self, terms, coeffs=None):
         if not terms:
@@ -209,24 +192,14 @@ class SumFn(LipFn):
                 acc[i] += cf * v
         return acc
 
-    def to_doc(self):
-        return {
-            "node": self.tag,
-            "coeffs": [enc_float(c) for c in self.coeffs],
-            "terms": [t.to_doc() for t in self.terms],
-        }
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls([LipFn.from_doc(t) for t in doc["terms"]],
-                   [dec_float(c) for c in doc["coeffs"]])
-
 
 @register
 class DistFn(LipFn):
     """f(x) = ||x - center|| - offset (scalar, 1-Lipschitz)."""
 
     tag = "dist"
+    fields = (("space", "space", "space"), ("center", "center", "vec"),
+              ("offset", "offset", "float"))
     lip_bound = 1.0
 
     def __init__(self, space: NormedSpace, center, offset=None):
@@ -247,25 +220,13 @@ class DistFn(LipFn):
         w = [xi - ci for xi, ci in zip(x, c)]
         return [self.space.norm_exact(w) - as_fraction(self.offset)]
 
-    def to_doc(self):
-        return {
-            "node": self.tag,
-            "space": self.space.to_doc()["space"],
-            "center": enc_vec(self.center),
-            "offset": enc_float(self.offset),
-        }
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(NormedSpace.from_doc({"space": doc["space"]}),
-                   dec_vec(doc["center"]), dec_float(doc["offset"]))
-
 
 @register
 class OuterFn(LipFn):
     """Vector output s(x) * w from a scalar node."""
 
     tag = "outer"
+    fields = (("scalar", "scalar", "fn"), ("w", "w", "vec"), LIP)
 
     def __init__(self, scalar: LipFn, w, lip_bound=None):
         w = np.asarray(w, dtype=float).ravel()
@@ -287,23 +248,13 @@ class OuterFn(LipFn):
         s = self.scalar.eval_exact(x)[0]
         return [s * as_fraction(v) for v in self.w]
 
-    def to_doc(self):
-        doc = {"node": self.tag, "w": enc_vec(self.w), "scalar": self.scalar.to_doc()}
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(LipFn.from_doc(doc["scalar"]), dec_vec(doc["w"]), lip)
-
 
 @register
 class ProductFn(LipFn):
     """Pointwise product of two scalar nodes."""
 
     tag = "product"
+    fields = (("f1", "f1", "fn"), ("f2", "f2", "fn"))
 
     def __init__(self, f1: LipFn, f2: LipFn):
         if f1.l != 1 or f2.l != 1 or f1.d != f2.d:
@@ -314,19 +265,15 @@ class ProductFn(LipFn):
     def eval(self, X):
         return self.f1.eval(X) * self.f2.eval(X)
 
-    def to_doc(self):
-        return {"node": self.tag, "f1": self.f1.to_doc(), "f2": self.f2.to_doc()}
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(LipFn.from_doc(doc["f1"]), LipFn.from_doc(doc["f2"]))
-
 
 @register
 class BlendFn(LipFn):
     """Radial interpolation between f1 (inside radius a) and f2 (outside b)."""
 
     tag = "blend"
+    fields = (("a", "a", "float"), ("b", "b", "float"), ("f1", "f1", "fn"),
+              ("f2", "f2", "fn"), ("space", "space", "space"),
+              ("lip1", "lip1", "float?"), ("lip2", "lip2", "float?"))
 
     def __init__(self, a, b, f1: LipFn, f2: LipFn, space: NormedSpace,
                  lip1=None, lip2=None):
@@ -378,31 +325,6 @@ class BlendFn(LipFn):
         v2 = self.f2.eval_exact(x)
         return [w1 * p + w2 * q for p, q in zip(v1, v2)]
 
-    def to_doc(self):
-        doc = {
-            "node": self.tag,
-            "a": enc_float(self.a),
-            "b": enc_float(self.b),
-            "f1": self.f1.to_doc(),
-            "f2": self.f2.to_doc(),
-            "space": self.space.to_doc()["space"],
-        }
-        if self.lip1 is not None:
-            doc["lip1"] = enc_float(self.lip1)
-        if self.lip2 is not None:
-            doc["lip2"] = enc_float(self.lip2)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(
-            dec_float(doc["a"]), dec_float(doc["b"]),
-            LipFn.from_doc(doc["f1"]), LipFn.from_doc(doc["f2"]),
-            NormedSpace.from_doc({"space": doc["space"]}),
-            dec_float(doc["lip1"]) if "lip1" in doc else None,
-            dec_float(doc["lip2"]) if "lip2" in doc else None,
-        )
-
 
 @register
 class LocalAffineSurgeryFn(LipFn):
@@ -415,6 +337,9 @@ class LocalAffineSurgeryFn(LipFn):
     """
 
     tag = "surgery"
+    fields = (("f", "f", "fn"), ("centers", "centers", "mat"), ("s", "s", "frac"),
+              ("beta", "beta", "frac"), ("alpha", "alpha", "frac"),
+              ("L", "Lmat", "mat"), ("space", "space", "space"), LIP)
 
     def __init__(self, f: LipFn, centers, s, beta, alpha, Lmat, space: NormedSpace,
                  lip_bound=None):
@@ -493,31 +418,6 @@ class LocalAffineSurgeryFn(LipFn):
         vals = self.f.eval_exact(x)
         return [self.scale * v for v in vals]
 
-    def to_doc(self):
-        doc = {
-            "node": self.tag,
-            "f": self.f.to_doc(),
-            "centers": enc_mat(self.centers),
-            "s": enc_frac(self.s),
-            "beta": enc_frac(self.beta),
-            "alpha": enc_frac(self.alpha),
-            "L": enc_mat(self.Lmat),
-            "space": self.space.to_doc()["space"],
-        }
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(
-            LipFn.from_doc(doc["f"]), dec_mat(doc["centers"]),
-            dec_frac(doc["s"]), dec_frac(doc["beta"]), dec_frac(doc["alpha"]),
-            dec_mat(doc["L"]),
-            NormedSpace.from_doc({"space": doc["space"]}),
-            dec_float(doc["lip"]) if "lip" in doc else None,
-        )
-
 
 @register
 class GridFn2D(LipFn):
@@ -525,6 +425,9 @@ class GridFn2D(LipFn):
     clamped (constant) outside the sampled box."""
 
     tag = "grid2d"
+    # decoded by _from_doc below: "values" is written flat beside "shape"
+    fields = (("lo", "lo", "vec"), ("h", "h", "float"), ("shape", "shape", "list"),
+              ("values", "values", "vec"), LIP)
 
     def __init__(self, lo, h, values, lip_bound=None):
         values = np.asarray(values, dtype=float)
@@ -535,6 +438,16 @@ class GridFn2D(LipFn):
         self.h = float(h)
         self.values = values
         self.lip_bound = lip_bound
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    @classmethod
+    def _from_doc(cls, doc):
+        vals = dec_vec(doc["values"]).reshape(doc["shape"])
+        lip = dec_float(doc["lip"]) if "lip" in doc else None
+        return cls(dec_vec(doc["lo"]), dec_float(doc["h"]), vals, lip)
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -558,30 +471,13 @@ class GridFn2D(LipFn):
         )
         return val.reshape(-1, 1)
 
-    def to_doc(self):
-        doc = {
-            "node": self.tag,
-            "lo": enc_vec(self.lo),
-            "h": enc_float(self.h),
-            "shape": list(self.values.shape),
-            "values": enc_vec(self.values.ravel()),
-        }
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        vals = dec_vec(doc["values"]).reshape(doc["shape"])
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(dec_vec(doc["lo"]), dec_float(doc["h"]), vals, lip)
-
 
 @register
 class BoxBumpFn(LipFn):
     """Smooth bump supported on an axis box (product of 1-d bumps)."""
 
     tag = "boxbump"
+    fields = (("lo", "lo_b", "vec"), ("hi", "hi_b", "vec"))
 
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float).ravel()
@@ -602,19 +498,13 @@ class BoxBumpFn(LipFn):
             axis_val = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
         return np.prod(axis_val, axis=1).reshape(-1, 1)
 
-    def to_doc(self):
-        return {"node": self.tag, "lo": enc_vec(self.lo_b), "hi": enc_vec(self.hi_b)}
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(dec_vec(doc["lo"]), dec_vec(doc["hi"]))
-
 
 @register
 class RadialBumpFn(LipFn):
     """Smooth bump supported on a Euclidean ball."""
 
     tag = "rbump"
+    fields = (("center", "center", "vec"), ("radius", "radius", "float"))
 
     def __init__(self, center, radius):
         center = np.asarray(center, dtype=float).ravel()
@@ -632,13 +522,6 @@ class RadialBumpFn(LipFn):
             val = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
         return val.reshape(-1, 1)
 
-    def to_doc(self):
-        return {"node": self.tag, "center": enc_vec(self.center), "radius": enc_float(self.radius)}
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(dec_vec(doc["center"]), dec_float(doc["radius"]))
-
 
 @register
 class PlateauFn(LipFn):
@@ -646,6 +529,8 @@ class PlateauFn(LipFn):
     smoothstep ramps in between (per axis, multiplied)."""
 
     tag = "plateau"
+    fields = (("lo", "lo_b", "vec"), ("hi", "hi_b", "vec"), ("core_lo", "core_lo", "vec"),
+              ("core_hi", "core_hi", "vec"))
 
     def __init__(self, lo, hi, core_lo, core_hi):
         lo = np.asarray(lo, dtype=float).ravel()
@@ -681,26 +566,13 @@ class PlateauFn(LipFn):
             val = val * up * dn
         return val.reshape(-1, 1)
 
-    def to_doc(self):
-        return {
-            "node": self.tag,
-            "lo": enc_vec(self.lo_b),
-            "hi": enc_vec(self.hi_b),
-            "core_lo": enc_vec(self.core_lo),
-            "core_hi": enc_vec(self.core_hi),
-        }
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(dec_vec(doc["lo"]), dec_vec(doc["hi"]),
-                   dec_vec(doc["core_lo"]), dec_vec(doc["core_hi"]))
-
 
 @register
 class VecScaleFn(LipFn):
     """Pointwise scalar(x) * vec(x); the glue for partition assemblies."""
 
     tag = "vecscale"
+    fields = (("scalar", "scalar", "fn"), ("vec", "vec", "fn"), LIP)
 
     def __init__(self, scalar: LipFn, vec: LipFn, lip_bound=None):
         if scalar.l != 1 or scalar.d != vec.d:
@@ -713,23 +585,13 @@ class VecScaleFn(LipFn):
     def eval(self, X):
         return self.scalar.eval(X) * self.vec.eval(X)
 
-    def to_doc(self):
-        doc = {"node": self.tag, "scalar": self.scalar.to_doc(), "vec": self.vec.to_doc()}
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(LipFn.from_doc(doc["scalar"]), LipFn.from_doc(doc["vec"]), lip)
-
 
 @register
 class NormalizedBumpFn(LipFn):
     """phi_k = bump_k / sum_j bump_j on the covered set (0 where the sum is 0)."""
 
     tag = "pou-element"
+    fields = (("bumps", "bumps", "fns"), ("index", "index", "int"))
 
     def __init__(self, bumps, index):
         if not bumps:
@@ -746,23 +608,14 @@ class NormalizedBumpFn(LipFn):
         out[pos] = vals[pos, self.index] / total[pos]
         return out.reshape(-1, 1)
 
-    def to_doc(self):
-        return {
-            "node": self.tag,
-            "index": self.index,
-            "bumps": [b.to_doc() for b in self.bumps],
-        }
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls([LipFn.from_doc(b) for b in doc["bumps"]], doc["index"])
-
 
 @register
 class RegionSwitchFn(LipFn):
     """inside(x) on a region, outside(x) off it (exact set membership)."""
 
     tag = "region-switch"
+    fields = (("region", "region", "region"), ("inside", "inside", "fn"),
+              ("outside", "outside", "fn"), LIP)
 
     def __init__(self, region, inside: LipFn, outside: LipFn, lip_bound=None):
         if inside.d != outside.d or inside.l != outside.l:
@@ -783,25 +636,6 @@ class RegionSwitchFn(LipFn):
             out[~m] = self.outside.eval(X[~m])
         return out
 
-    def to_doc(self):
-        doc = {
-            "node": self.tag,
-            "region": self.region.to_doc(),
-            "inside": self.inside.to_doc(),
-            "outside": self.outside.to_doc(),
-        }
-        if self.lip_bound is not None:
-            doc["lip"] = enc_float(self.lip_bound)
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        from .regions import Region
-
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(Region.from_doc(doc["region"]), LipFn.from_doc(doc["inside"]),
-                   LipFn.from_doc(doc["outside"]), lip)
-
 
 @register
 class ConvexShiftCombFn(LipFn):
@@ -812,6 +646,8 @@ class ConvexShiftCombFn(LipFn):
     """
 
     tag = "shift-comb"
+    fields = (("base", "base", "fn"), ("shifts", "shifts", "mat"),
+              ("weights", "weights", "vec"))
     _CHUNK = 200_000
 
     def __init__(self, base: LipFn, shifts, weights):
@@ -841,16 +677,3 @@ class ConvexShiftCombFn(LipFn):
             vals = self.base.eval(pts.reshape(-1, self.d)).reshape(len(xb), q, self.l)
             out[start:start + max_rows] = np.einsum("q,nql->nl", self.weights, vals)
         return out
-
-    def to_doc(self):
-        return {
-            "node": self.tag,
-            "base": self.base.to_doc(),
-            "shifts": enc_mat(self.shifts),
-            "weights": enc_vec(self.weights),
-        }
-
-    @classmethod
-    def _from_doc(cls, doc):
-        return cls(LipFn.from_doc(doc["base"]), dec_mat(doc["shifts"]),
-                   dec_vec(doc["weights"]))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .serialize import dec_float, dec_mat, dec_vec, enc_float, enc_mat, enc_vec
-from .spaces import Functional, NormedSpace
+from .serialize import CODECS, decode_fields, encode_fields
+from .spaces import Functional
 
 
 # ---------------------------------------------------------------------------
@@ -40,35 +40,24 @@ class Region:
         raise NotImplementedError
 
     def to_doc(self):
-        raise NotImplementedError
+        return encode_fields(self, {"kind": self.kind})
 
     @staticmethod
     def from_doc(doc):
         kind = doc["kind"]
-        if kind == "box-union":
-            r = BoxUnion(dec_mat(doc["lo"]), dec_mat(doc["hi"]), open_=doc["open"])
-            r.meta = doc.get("meta", {})
-            return r
-        if kind == "ball-union":
-            return BallUnion(
-                dec_mat(doc["centers"]),
-                dec_float(doc["radius"]),
-                NormedSpace.from_doc({"space": doc["space"]}),
-                open_=doc["open"],
-            )
-        if kind == "complement":
-            return Complement(Region.from_doc(doc["child"]))
-        if kind == "intersection":
-            return Intersection([Region.from_doc(c) for c in doc["children"]])
-        if kind == "union":
-            return UnionRegion([Region.from_doc(c) for c in doc["children"]])
-        if kind == "empty":
-            return EmptyRegion(int(doc["dim"]))
-        raise InputError("unknown region kind %r" % kind)
+        if kind not in REGION_KINDS:
+            raise InputError("unknown region kind %r" % kind)
+        return decode_fields(REGION_KINDS[kind], doc)
+
+
+CODECS["region"] = (Region.to_doc, Region.from_doc)
+CODECS["regions"] = (lambda rs: [r.to_doc() for r in rs],
+                     lambda docs: [Region.from_doc(d) for d in docs])
 
 
 class EmptyRegion(Region):
     kind = "empty"
+    fields = (("dim", "dim", "int"),)
 
     def __init__(self, dim):
         self.dim = dim
@@ -85,14 +74,13 @@ class EmptyRegion(Region):
         lo = np.zeros(self.dim)
         return lo, lo
 
-    def to_doc(self):
-        return {"kind": "empty", "dim": self.dim}
-
 
 class BoxUnion(Region):
     """Finite union of axis boxes, all open or all closed."""
 
     kind = "box-union"
+    fields = (("lo", "lo", "mat"), ("hi", "hi", "mat"), ("open", "open", "bool"),
+              ("meta", "meta", "dict?"))
 
     def __init__(self, lo, hi, open_=False, meta=None):
         self.lo = np.atleast_2d(np.asarray(lo, dtype=float))
@@ -178,15 +166,6 @@ class BoxUnion(Region):
         frac = _union_length(rows[hit], t0[hit], t1[hit], len(P0))
         return np.minimum(frac, 1.0) * slen
 
-    def to_doc(self):
-        return {
-            "kind": "box-union",
-            "lo": enc_mat(self.lo),
-            "hi": enc_mat(self.hi),
-            "open": self.open,
-            "meta": self.meta,
-        }
-
 
 def _union_length(rows, t0, t1, n):
     """Length of the union of the intervals [t0, t1] (0 <= t0 < t1) that
@@ -206,6 +185,8 @@ def _union_length(rows, t0, t1, n):
 
 class BallUnion(Region):
     kind = "ball-union"
+    fields = (("centers", "centers", "mat"), ("radius", "radius", "float"),
+              ("space", "space", "space"), ("open", "open", "bool"))
 
     def __init__(self, centers, radius, space, open_=True):
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -237,18 +218,10 @@ class BallUnion(Region):
             r = r * float(np.max(np.abs(self.space.unit_ball_vertices())))
         return self.centers.min(axis=0) - r, self.centers.max(axis=0) + r
 
-    def to_doc(self):
-        return {
-            "kind": "ball-union",
-            "centers": enc_mat(self.centers),
-            "radius": enc_float(self.radius),
-            "space": self.space.to_doc()["space"],
-            "open": self.open,
-        }
-
 
 class Complement(Region):
     kind = "complement"
+    fields = (("child", "child", "region"),)
 
     def __init__(self, child):
         self.child = child
@@ -263,12 +236,10 @@ class Complement(Region):
     def bbox(self):
         return None
 
-    def to_doc(self):
-        return {"kind": "complement", "child": self.child.to_doc()}
-
 
 class Intersection(Region):
     kind = "intersection"
+    fields = (("children", "children", "regions"),)
 
     def __init__(self, children):
         if not children:
@@ -293,12 +264,10 @@ class Intersection(Region):
         hi = np.min([b[1] for b in boxes], axis=0)
         return lo, np.maximum(hi, lo)
 
-    def to_doc(self):
-        return {"kind": "intersection", "children": [c.to_doc() for c in self.children]}
-
 
 class UnionRegion(Region):
     kind = "union"
+    fields = (("children", "children", "regions"),)
 
     def __init__(self, children):
         if not children:
@@ -324,8 +293,9 @@ class UnionRegion(Region):
             np.max([b[1] for b in boxes], axis=0),
         )
 
-    def to_doc(self):
-        return {"kind": "union", "children": [c.to_doc() for c in self.children]}
+
+REGION_KINDS = {cls.kind: cls for cls in (EmptyRegion, BoxUnion, BallUnion, Complement,
+                                          Intersection, UnionRegion)}
 
 
 def box_region(lo, hi, open_=False):

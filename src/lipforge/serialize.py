@@ -1,13 +1,21 @@
-"""Canonical JSON helpers.
+"""Canonical JSON helpers and the field table of DAG nodes and regions.
 
 All real numbers are encoded as C99 hex-float strings so that
 serialize -> parse -> evaluate round-trips are bit-exact, and all
 documents are dumped with sorted keys and fixed separators so that
 identical inputs produce byte-identical files.
+
+The document of every `LipFn` node and `Region` is defined in one place:
+the class's `fields` tuple of (doc key, attribute, codec) in constructor
+order, read by `encode_fields` and `decode_fields` through `CODECS`.  A
+codec name ending in "?" marks a field that may be None; it is left out
+of the document then.  The codecs for nodes, regions and spaces are added
+to `CODECS` by the modules that own those types.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +48,43 @@ def enc_mat(m):
 
 def dec_mat(rows):
     return np.array([[dec_float(x) for x in row] for row in rows], dtype=float)
+
+
+def enc_frac(fr: Fraction):
+    return [str(fr.numerator), str(fr.denominator)]
+
+
+def dec_frac(pair) -> Fraction:
+    return Fraction(int(pair[0]), int(pair[1]))
+
+
+CODECS = {
+    "int": (int, int),
+    "list": (list, list),
+    "bool": (bool, bool),
+    "dict": (dict, dict),
+    "float": (enc_float, dec_float),
+    "floats": (lambda v: [enc_float(x) for x in v], lambda v: [dec_float(x) for x in v]),
+    "vec": (enc_vec, dec_vec),
+    "mat": (enc_mat, dec_mat),
+    "frac": (enc_frac, dec_frac),
+}
+
+
+def encode_fields(obj, doc):
+    """doc plus obj's fields, leaving out those whose value is None."""
+    for key, attr, codec in obj.fields:
+        value = getattr(obj, attr)
+        if value is not None:
+            doc[key] = CODECS[codec.rstrip("?")][0](value)
+    return doc
+
+
+def decode_fields(cls, doc):
+    """cls(*fields decoded from doc); an optional field left out is None."""
+    return cls(*(None if codec.endswith("?") and key not in doc
+                 else CODECS[codec.rstrip("?")][1](doc[key])
+                 for key, _, codec in cls.fields))
 
 
 def dumps(doc) -> str:

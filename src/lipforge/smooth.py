@@ -15,10 +15,10 @@ import numpy as np
 from .errors import (BudgetError, CoverError, DomainError, InputError,
                      PremiseError, ResolutionError)
 from .fn import (BoxBumpFn, ConstFn, ConvexShiftCombFn, LipFn, NormalizedBumpFn,
-                 PlateauFn, ProductFn, RadialBumpFn, SumFn, VecScaleFn, ZeroFn)
+                 PlateauFn, ProductFn, RadialBumpFn, SumFn, VecScaleFn, register)
 from .regions import BallUnion, BoxUnion, Region, box_region
 from .spaces import LinOp
-from .verify import fd_jacobian
+from .verify import dyadic_radius, fd_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,12 @@ class MollifierSpec:
         self.weights = raw / total
 
 
+@register
 class MollifiedFn(ConvexShiftCombFn):
     """Convex shift combination with an optional evaluation domain guard."""
 
     tag = "mollified"
+    fields = ConvexShiftCombFn.fields + (("domain", "domain", "region?"),)
 
     def __init__(self, base, shifts, weights, domain=None):
         super().__init__(base, shifts, weights)
@@ -92,27 +94,6 @@ class MollifiedFn(ConvexShiftCombFn):
             if not bool(ok.all()):
                 raise DomainError("mollified function evaluated outside its domain")
         return super().eval(X)
-
-    def to_doc(self):
-        doc = super().to_doc()
-        doc["node"] = self.tag
-        if self.domain is not None:
-            doc["domain"] = self.domain.to_doc()
-
-        return doc
-
-    @classmethod
-    def _from_doc(cls, doc):
-        from .serialize import dec_mat, dec_vec
-
-        dom = Region.from_doc(doc["domain"]) if "domain" in doc else None
-        return cls(LipFn.from_doc(doc["base"]), dec_mat(doc["shifts"]),
-                   dec_vec(doc["weights"]), domain=dom)
-
-
-from .fn import register as _register  # noqa: E402  (registration after class body)
-
-_register(MollifiedFn)
 
 
 def mollify(g: LipFn, spec: MollifierSpec, U_eps: Region = None) -> LipFn:
@@ -458,27 +439,16 @@ def uniform_diff_radius(g: LipFn, E: Region, theta, n_points=20, n_dirs=8,
     dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
     raw = rng.standard_normal((max(0, n_dirs - len(dirs)), d))
     dirs += [v / np.linalg.norm(v) for v in raw]
-    jacs = [fd_jacobian(g, x, fd_h) for x in pts]
+    jacs_t = fd_jacobian(g, pts, fd_h).transpose(0, 2, 1)
 
     m = 1
     while 2.0 ** (-m) >= theta:
         m += 1
-    for mm in range(m, 31):
-        delta = 2.0 ** (-mm)
-        ok = True
-        for x, J in zip(pts, jacs):
-            for v in dirs:
-                for frac in (1.0, 0.5, 0.25):
-                    y = delta * frac * v
-                    resid = g(x + y) - g(x) - J @ y
-                    if np.max(np.abs(resid)) > (theta / 2.0) * np.max(np.abs(y)) + 1e-12:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return delta
-    raise ResolutionError("no differentiability radius found down to 2^-30; "
-                          "the map is likely not C1 near E")
+    delta = dyadic_radius(
+        g, pts, np.array(dirs), range(m, 31), lambda Y: Y @ jacs_t,
+        lambda r, Y, rho: (np.max(np.abs(r), axis=2)
+                           > (theta / 2.0) * np.max(np.abs(Y), axis=1) + 1e-12))
+    if delta is None:
+        raise ResolutionError("no differentiability radius found down to 2^-30; "
+                              "the map is likely not C1 near E")
+    return delta

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DescriptorError, FamilyError, InputError
-from .serialize import dec_float, dec_mat, enc_float, enc_mat
+from .serialize import CODECS, dec_float, dec_mat, enc_float, enc_mat
 
 _VERTEX_DIM_CAP = 12  # enumerate 2^d cube corners only up to this dimension
 
@@ -145,7 +145,10 @@ class NormedSpace:
             else:
                 out = np.sum(np.abs(Y) ** p, axis=1) ** (1.0 / p)
         else:
-            out = np.max(X @ self._functionals.T, axis=1)
+            # row-wise product-sum, not a matrix product: a point's norm
+            # must not depend on the batch it is evaluated in
+            F = self._functionals
+            out = np.max((X[:, None, :] * F).sum(axis=2), axis=1)
         return out[0] if single else out
 
     def _scale_vec(self):
@@ -170,8 +173,6 @@ class NormedSpace:
         if self.kind in ("lp", "weighted-lp") and self._p in (1.0, float("inf")):
             if self._weights is None:
                 w = [Fraction(1)] * self.dim
-            elif np.isinf(self._p):
-                w = [Fraction(float(v)) for v in self._weights]
             else:
                 w = [Fraction(float(v)) for v in self._weights]
             vals = [wi * abs(xi) for wi, xi in zip(w, x)]
@@ -232,6 +233,8 @@ class NormedSpace:
     def __repr__(self):
         return "NormedSpace(dim=%d, kind=%s)" % (self.dim, self.kind)
 
+
+CODECS["space"] = (lambda sp: sp.to_doc()["space"], NormedSpace.from_doc)
 
 def lp_space(dim, p):
     return NormedSpace(dim, {"kind": "lp", "p": p})

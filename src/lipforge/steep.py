@@ -27,7 +27,7 @@ from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
                       LatticeDP, Region, box_region, pu_cover, xi_estimate)
 from .smooth import MollifierSpec, mollify
 from .spaces import Functional, LinOp, cyl_constant, op_norm_upper
-from .verify import fd_jacobian
+from .verify import dyadic_radius, fd_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +69,9 @@ def build_steep(spec: SteepSpec) -> LipFn:
     """
     P = spec.P
     pn = P.dual_norm
-    if pn == 0.0:
-        g = ZeroFn(P.space.dim, 1)
-        g.gap = 0.0
-        g.xi_value, g.xi_gap = 0.0, 0.0
-        g.v_P = P.attain_dir
-        g.spec = spec
-        g.lip_claim = 0.0
-        return g
     bb = spec.G.bbox()
-    empty = isinstance(spec.G, EmptyRegion) or bb is None or (
-        isinstance(spec.G, BoxUnion) and spec.G.area() == 0.0)
-    if empty:
+    if pn == 0.0 or isinstance(spec.G, EmptyRegion) or bb is None or (
+            isinstance(spec.G, BoxUnion) and spec.G.area() == 0.0):
         g = ZeroFn(P.space.dim, 1)
         g.gap = 0.0
         g.xi_value, g.xi_gap = 0.0, 0.0
@@ -662,19 +653,12 @@ def slope_radius(g: LipFn, E: Region, T: LinOp, theta, n_dirs=8, seed=0,
         pts = pts[rng.choice(len(pts), 40, replace=False)]
     dirs = rng.normal(size=(n_dirs, T.dom.dim))
     dirs /= np.asarray(T.dom.norm(dirs))[:, None]
-    for e in range(1, min_exp + 1):
-        delta = 2.0 ** (-e)
-        ok = True
-        for rho in (delta, delta / 2.0, delta / 4.0):
-            Y = rho * dirs
-            for x in pts:
-                res = g.eval(x[None] + Y) - g.eval(x[None]) - Y @ T.matrix.T
-                if float(np.max(T.cod.norm(res))) > theta / 2.0 * rho:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return delta
-    raise ResolutionError("no dyadic radius above 2^-%d satisfies the slope "
-                          "condition" % min_exp)
+    l = T.cod.dim
+    delta = dyadic_radius(
+        g, pts, dirs, range(1, min_exp + 1), lambda Y: Y @ T.matrix.T,
+        lambda r, Y, rho: (T.cod.norm(r.reshape(-1, l)).reshape(r.shape[:2])
+                           > theta / 2.0 * rho))
+    if delta is None:
+        raise ResolutionError("no dyadic radius above 2^-%d satisfies the slope "
+                              "condition" % min_exp)
+    return delta

@@ -198,6 +198,32 @@ def fd_jacobian(f: LipFn, x, h):
     return J[0] if x.ndim < 2 else J
 
 
+def dyadic_radius(g: LipFn, pts, dirs, exps, linear, too_far):
+    """Largest delta = 2^-e, for e tried in the order of exps, at which no
+    increment y = rho u (u a row of dirs, rho in delta, delta/2, delta/4)
+    from a row x of pts gives a first-order residual
+    r = g(x + y) - g(x) - linear(y) with too_far(r, Y, rho) true; None if
+    no delta passes.  For each delta, all points x directions x fractions
+    are evaluated in one g.eval call.
+
+    linear maps the (m, d) increments Y to an array that broadcasts against
+    the (n_points, m, l) residuals; too_far gets those residuals, Y and the
+    (m,) radii rho, and returns an (n_points, m) boolean array.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    gx = g.eval(pts)
+    for e in exps:
+        delta = 2.0 ** (-e)
+        rhos = (delta, delta / 2.0, delta / 4.0)
+        Y = np.concatenate([rho * dirs for rho in rhos])
+        rho = np.repeat(rhos, len(dirs))
+        shifted = pts[:, None, :] + Y[None, :, :]
+        gy = g.eval(shifted.reshape(-1, pts.shape[1])).reshape(len(pts), len(Y), -1)
+        if not np.any(too_far(gy - gx[:, None, :] - linear(Y), Y, rho)):
+            return delta
+    return None
+
+
 def c1_check(f: LipFn, U, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
     """Two-step-size agreement of central-difference Jacobians plus a
     first-order model consistency probe.

@@ -18,6 +18,9 @@ from lipforge.regions import box_region, gen_four_corner
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
+# subprocesses import the same lipforge checkout as this test run
+PKG_PARENT = os.path.dirname(os.path.dirname(lipforge.__file__))
+
 
 @pytest.fixture
 def files(tmp_path, l2_2):
@@ -220,7 +223,7 @@ def test_exit_code_resolution_error(files, tmp_path):
 
 
 def test_thread_cap_env_rejected(files, tmp_path):
-    env = dict(os.environ, LIPFORGE_THREADS="banana")
+    env = dict(os.environ, LIPFORGE_THREADS="banana", PYTHONPATH=PKG_PARENT)
     proc = subprocess.run(
         [sys.executable, "-m", "lipforge.cli", "cyl", "--op", files["op"]],
         capture_output=True, env=env, text=True)
@@ -291,8 +294,7 @@ def test_console_script_installed(tmp_path):
         "    sys.argv[0] = 'lipforge'\n"
         f"    sys.exit({attr}())\n")
     script.chmod(0o755)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(lipforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=PKG_PARENT)
     proc = subprocess.run([str(script), "--help"], capture_output=True,
                           env=env, text=True)
     _assert_help(proc)

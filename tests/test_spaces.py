@@ -35,6 +35,21 @@ def test_polyhedral_square_equals_linf(rng):
     assert np.allclose(np.asarray(sp.norm(X)), want, atol=1e-9)
 
 
+def test_polyhedral_norm_is_row_independent(rng):
+    # a point's norm must not depend on the batch it is evaluated in
+    hexagon = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+    cases = [
+        NormedSpace(2, {"kind": "polyhedral", "vertices": hexagon}),
+        NormedSpace(2, {"kind": "polyhedral", "functionals": rng.normal(size=(7, 2))}),
+        NormedSpace(3, {"kind": "polyhedral", "vertices": rng.normal(size=(9, 3))}),
+    ]
+    for sp in cases:
+        X = rng.normal(size=(1000, sp.dim)) * 10.0 ** rng.uniform(-3, 3, (1000, 1))
+        batched = sp.norm(X)
+        assert np.array_equal(batched, [sp.norm(x) for x in X])
+        assert np.array_equal(batched[5:12], sp.norm(X[5:12]))
+
+
 def test_bad_descriptor_rejected():
     with pytest.raises(DescriptorError):
         NormedSpace(2, {"kind": "nonsense"})

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from lipforge.errors import DomainError
-from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, PlateauFn,
-                         ProductFn, SumFn, ZeroFn)
+from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, OuterFn,
+                         PlateauFn, ProductFn, RadialBumpFn, SumFn, ZeroFn)
 from lipforge.regions import box_region
 from lipforge.smooth import MollifierSpec, mollify
-from lipforge.spaces import LinOp, lp_space
-from lipforge.verify import (c1_check, dini_check, fd_jacobian, lip_estimate,
-                             scan_derivative_set)
+from lipforge.spaces import LinOp, NormedSpace, lp_space
+from lipforge.verify import (c1_check, dini_check, dyadic_radius, fd_jacobian,
+                             lip_estimate, scan_derivative_set)
 
 
 def test_scan_linear_zero_error(l2_2):
@@ -105,6 +105,64 @@ def test_fd_jacobian_batch_equals_single_points():
         J = fd_jacobian(f, X, 1e-3)
         assert J.shape == (len(X), f.l, 2)
         assert np.array_equal(J, np.stack([fd_jacobian(f, x, 1e-3) for x in X]))
+
+
+def _loop_radius(g, pts, dirs, exps, linear, too_far):
+    """dyadic_radius one point, direction and fraction at a time."""
+    for e in exps:
+        delta = 2.0 ** -e
+        if not any(too_far(g(x + rho * u) - g(x) - linear(i, rho * u), rho * u, rho)
+                   for i, x in enumerate(pts) for u in dirs
+                   for rho in (delta, delta / 2.0, delta / 4.0)):
+            return delta
+    return None
+
+
+def _both_rules(g, pts, dirs, theta, T):
+    """(uniform-differentiability radius, slope radius), each checked
+    against the point loop."""
+    exps = range(1, 16)
+    J = fd_jacobian(g, pts, 1e-5)
+    got = dyadic_radius(
+        g, pts, dirs, exps, lambda Y: Y @ J.transpose(0, 2, 1),
+        lambda r, Y, rho: (np.max(np.abs(r), axis=2)
+                           > theta / 2.0 * np.max(np.abs(Y), axis=1) + 1e-12))
+    want = _loop_radius(
+        g, pts, dirs, exps, lambda i, y: J[i] @ y,
+        lambda r, y, rho: np.max(np.abs(r)) > theta / 2.0 * np.max(np.abs(y)) + 1e-12)
+    assert got == want
+    l = T.cod.dim
+    got_slope = dyadic_radius(
+        g, pts, dirs, exps, lambda Y: Y @ T.matrix.T,
+        lambda r, Y, rho: (T.cod.norm(r.reshape(-1, l)).reshape(r.shape[:2])
+                           > theta / 2.0 * rho))
+    want = _loop_radius(g, pts, dirs, exps, lambda i, y: T.matrix @ y,
+                        lambda r, y, rho: T.cod.norm(r) > theta / 2.0 * rho)
+    assert got_slope == want
+    return got, got_slope
+
+
+def test_dyadic_radius_matches_point_loop(l2_2):
+    rng = np.random.default_rng(11)
+    hexagon = NormedSpace(2, {"kind": "polyhedral", "vertices": [
+        [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]})
+    grid = GridFn2D([-1.0, -1.0], 0.05, rng.uniform(-0.2, 0.2, (41, 41)))
+    smooth = SumFn([Poly(), LinearFn(rng.uniform(-1, 1, (2, 2)))])
+    rough = SumFn([Poly(), OuterFn(grid, [1.0, -0.5])])
+    found = set()
+    for k in range(12):
+        pts = rng.uniform(-0.5, 0.5, (int(rng.integers(1, 6)), 2))
+        dirs = rng.normal(size=(int(rng.integers(1, 9)), 2))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        T = LinOp.build(rng.uniform(-1, 1, (2, 2)), hexagon, (hexagon, l2_2)[k % 2])
+        found.update(_both_rules((smooth, rough)[k % 2], pts, dirs,
+                                 float(rng.uniform(0.05, 2.0)), T))
+    assert len(found) > 3
+    # a bump 1/8 away along e1: from delta = 1/2 only the fraction delta/4
+    # reaches it, from 1/4 only delta/2, so the radius is 1/16
+    bump = RadialBumpFn([0.125, 0.0], 0.02)
+    T = LinOp.build(np.zeros((1, 2)), hexagon, lp_space(1, 2))
+    assert _both_rules(bump, np.zeros((1, 2)), np.eye(2), 0.5, T) == (2.0 ** -4,) * 2
 
 
 def test_c1_check_passes_smooth_fails_kink(l2_2):
