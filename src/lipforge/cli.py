@@ -14,9 +14,8 @@ import numpy as np
 from . import gridfile, svg
 from .config import apply_thread_cap
 from .errors import (BudgetError, ConstructionError, CoverError,
-                     DescriptorError, DomainError, FamilyError, GeometryError,
-                     HypothesisError, InputError, LipforgeError, NormError,
-                     PremiseError, RefereeError, ResolutionError)
+                     HypothesisError, InputError, LipforgeError, PremiseError,
+                     RefereeError, ResolutionError)
 from .fn import LipFn, fn_from_file_doc, fn_to_file_doc
 from .game import POLICIES, certify_transcript, run_bm_game
 from .prescribe import build_net, prescribe_derivative
@@ -34,9 +33,7 @@ EXIT_CONFIG = 2
 EXIT_CERT = 3
 EXIT_RESOLUTION = 4
 
-_CONFIG_ERRORS = (DescriptorError, InputError, FamilyError, DomainError,
-                  NormError, GeometryError, FileNotFoundError, KeyError,
-                  ValueError)
+_CONFIG_ERRORS = (LipforgeError, OSError, KeyError, ValueError)
 _CERT_ERRORS = (RefereeError, PremiseError, HypothesisError)
 _RESOLUTION_ERRORS = (ResolutionError, BudgetError, CoverError,
                       ConstructionError)
@@ -57,23 +54,30 @@ def _space(text):
     return lp_space(int(dim), p)
 
 
+def _load_doc(path):
+    doc = load_path(path)
+    if not isinstance(doc, dict):
+        raise InputError("%s: the top level must be a JSON object" % path)
+    return doc
+
+
 def _load_region(path):
-    return Region.from_doc(load_path(path))
+    return Region.from_doc(_load_doc(path))
 
 
 def _load_op(path):
-    return LinOp.from_doc(load_path(path))
+    return LinOp.from_doc(_load_doc(path))
 
 
 def _load_ops(path):
-    doc = load_path(path)
-    if isinstance(doc, dict) and "ops" in doc:
+    doc = _load_doc(path)
+    if "ops" in doc:
         return [LinOp.from_doc(d) for d in doc["ops"]]
     return [LinOp.from_doc(doc)]
 
 
 def _load_fn(path):
-    return fn_from_file_doc(load_path(path))
+    return fn_from_file_doc(_load_doc(path))
 
 
 def _write_json(path, doc):
@@ -303,8 +307,9 @@ def cmd_plot(args):
         svg.write_heatmap(args.out, field, bb)
     else:
         f = _load_fn(args.fn)
-        lo = _vec(args.bbox.split(";")[0])
-        hi = _vec(args.bbox.split(";")[1])
+        lo, hi = (_vec(t) for t in args.bbox.split(";"))
+        if not np.all(lo < hi):
+            raise InputError("--bbox needs lo < hi on every axis")
         vals, bb = sample_fn(f, (lo, hi), args.res)
         if args.lfgf:
             gridfile.write_grid(args.lfgf, vals, bb)
@@ -441,9 +446,6 @@ def run_cli(argv):
         print("certificate violation: %s" % e, file=sys.stderr)
         return EXIT_CERT
     except _CONFIG_ERRORS as e:
-        print("configuration error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
-    except LipforgeError as e:
         print("configuration error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
 

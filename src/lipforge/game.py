@@ -20,14 +20,12 @@ from .errors import RefereeError
 from .fn import ConstFn, LinearFn, LipFn, SumFn, ZeroFn, as_fraction
 from .prescribe import Net, build_net, prescribe_derivative
 from .regions import Region
-from .spaces import LinOp, NormedSpace
+from .spaces import LinOp, NormedSpace, cube_corners
 
 
 def _space_bound_on(Q: Region, space: NormedSpace) -> Fraction:
     lo, hi = Q.bbox()
-    d = len(lo)
-    corners = np.array([[hi[j] if (i >> j) & 1 else lo[j] for j in range(d)]
-                        for i in range(2 ** d)])
+    corners = np.where(cube_corners(len(lo)) > 0, hi, lo)
     return as_fraction(float(np.max(space.norm(corners))))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import BudgetError, DomainError, InputError
 from .serialize import CODECS, decode_fields, encode_fields
 from .spaces import Functional
 
@@ -345,8 +345,8 @@ class CurveSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InputError("alpha must lie in (0, 1)")
-        if self.h <= 0:
-            raise InputError("grid step must be positive")
+        if not (0.0 < self.h < np.inf):
+            raise InputError("grid step must be positive and finite")
         self.step_set = self._admissible_steps()
         if len(self.step_set) == 0:
             raise InputError("no admissible lattice steps; increase k or lower alpha")
@@ -366,6 +366,9 @@ class CurveSpec:
                 if self.P(u) >= self.alpha * float(self.P.space.norm(u)) * pn and self.P(u) > 0:
                     dirs.append((i, j))
         return dirs
+
+
+DP_NODE_CAP = 4_000_000  # largest DP lattice; about 220 bytes a node at 18 steps
 
 
 class LatticeDP:
@@ -388,7 +391,11 @@ class LatticeDP:
         h = spec.h
         self.h = h
         self.lo = lo - pad * h
-        n = np.maximum(np.ceil((hi - lo) / h).astype(int) + 1 + 2 * pad, 2)
+        n = np.maximum(np.ceil((hi - lo) / h) + 1 + 2 * pad, 2)  # floats: no overflow
+        count = float(n[0]) * float(n[1])
+        if not count <= DP_NODE_CAP:
+            raise BudgetError("lattice of %.3g nodes exceeds the cap of %d; raise the grid step"
+                              % (count, DP_NODE_CAP))
         self.shape = (int(n[0]), int(n[1]))
         ii, jj = np.meshgrid(np.arange(self.shape[0]), np.arange(self.shape[1]), indexing="ij")
         self.nodes = self.lo[None, :] + np.stack([ii.ravel(), jj.ravel()], axis=1) * h

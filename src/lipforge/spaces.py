@@ -2,12 +2,15 @@
 
 Descriptors cover lp, weighted-lp and polyhedral norms.  Polyhedral norms
 are canonicalized at construction to carry both unit-ball vertices and
-supporting functionals, which makes dual norms and operator norms exact
-(vertex enumeration).  For non-polyhedral domains the operator norm is
-returned as a certified bracket [lb, ub]: lb from multi-start ascent with a
-stored witness, ub from a sound polyhedral outer relaxation.
+supporting functionals, which makes their dual norms exact.  The operator
+norm is exact when the domain ball has enumerable extreme points or both
+spaces are l2; otherwise it is a certified bracket [lb, ub]: lb from
+multi-start ascent with a stored witness, ub from op_norm_upper, the one
+sound upper bound, which takes (n, l, d) stacks of matrices and bounds
+each exactly as if it came alone.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,6 +21,8 @@ from .errors import DescriptorError, FamilyError, InputError
 from .serialize import CODECS, dec_float, dec_mat, enc_float, enc_mat
 
 _VERTEX_DIM_CAP = 12  # enumerate 2^d cube corners only up to this dimension
+_POLYGON_SIDES = 32   # tangents of the circumscribed 2-d lp polygon
+_TINY = np.finfo(float).tiny
 
 
 def _as_matrix(rows):
@@ -102,9 +107,12 @@ class NormedSpace:
             if vmax <= 0:
                 raise DescriptorError("degenerate 1-d polytope")
             return np.array([[1.0 / vmax], [-1.0 / vmax]])
-        from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
-        hull = ConvexHull(v)
+        try:
+            hull = ConvexHull(v)
+        except QhullError:  # flat, or too few generators
+            raise DescriptorError("polyhedral generators do not span the space") from None
         eqs = hull.equations  # a . x + b <= 0
         rows = []
         for eq in eqs:
@@ -143,7 +151,16 @@ class NormedSpace:
             elif p == 2:
                 out = np.sqrt(np.sum(Y * Y, axis=1))
             else:
-                out = np.sum(np.abs(Y) ** p, axis=1) ** (1.0 / p)
+                A = np.abs(Y)
+                with np.errstate(over="ignore", under="ignore"):
+                    s = np.sum(A ** p, axis=1)
+                out = s ** (1.0 / p)
+                # rows whose |y|^p left float range are rescaled by max |y|
+                m = np.max(A, axis=1)
+                redo = (m > 0) & (m < np.inf) & ((s < _TINY) | (s == np.inf))
+                if redo.any():
+                    A = A[redo] / m[redo, None]
+                    out[redo] = m[redo] * np.sum(A ** p, axis=1) ** (1.0 / p)
         else:
             # row-wise product-sum, not a matrix product: a point's norm
             # must not depend on the batch it is evaluated in
@@ -183,29 +200,16 @@ class NormedSpace:
 
     def unit_ball_vertices(self):
         """Extreme points of the unit ball, or None if not enumerable."""
-        d = self.dim
         if self.kind == "polyhedral":
             return self._vertices
-        p = self._p
-        scale = None
-        if self.kind == "weighted-lp":
-            scale = self._scale_vec()
+        d, p = self.dim, self._p
         if p == 1:
-            eye = np.eye(d)
-            verts = np.vstack([eye, -eye])
-            if scale is not None:
-                verts = verts / scale
-            return verts
-        if np.isinf(p):
-            if d > _VERTEX_DIM_CAP:
-                return None
-            corners = np.array(
-                [[1.0 if (i >> j) & 1 else -1.0 for j in range(d)] for i in range(2 ** d)]
-            )
-            if scale is not None:
-                corners = corners / scale
-            return corners
-        return None
+            verts = np.vstack([np.eye(d), -np.eye(d)])
+        elif np.isinf(p) and d <= _VERTEX_DIM_CAP:
+            verts = cube_corners(d)
+        else:
+            return None
+        return verts / self._scale_vec() if self.kind == "weighted-lp" else verts
 
     # ---- serialization ---------------------------------------------------
 
@@ -314,7 +318,7 @@ class LinOp:
     witness: np.ndarray = field(default=None)
 
     @classmethod
-    def build(cls, matrix, dom, cod, refine=3):
+    def build(cls, matrix, dom, cod):
         m = np.asarray(matrix, dtype=float)
         if m.ndim == 1:
             m = m.reshape(1, -1)
@@ -322,7 +326,7 @@ class LinOp:
             raise InputError("operator entries must be finite")
         if m.shape != (cod.dim, dom.dim):
             raise InputError("operator shape %r does not match spaces" % (m.shape,))
-        lb, ub, w = op_norm(m, dom, cod, refine=refine)
+        lb, ub, w = op_norm(m, dom, cod)
         return cls(m, dom, cod, lb, ub, w)
 
     def __call__(self, X):
@@ -348,49 +352,48 @@ class LinOp:
         return cls.build(dec_mat(doc["matrix"]), dom, cod)
 
 
-def op_norm(matrix, dom, cod, refine=3):
+def op_norm(matrix, dom, cod):
     """Certified bracket [lb, ub] for the operator norm, with an lb witness.
 
     Exact (lb == ub) when the domain ball has enumerable extreme points or
     both spaces are Euclidean.  Otherwise lb comes from multi-start ascent
-    and ub from a polyhedral outer approximation of the domain ball.
+    and ub from op_norm_upper.
     """
     T = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(T)):
         raise InputError("operator entries must be finite")
-    d = dom.dim
-
     verts = dom.unit_ball_vertices()
     if verts is not None:
-        vals = cod.norm(verts @ T.T)
-        i = int(np.argmax(vals))
-        w = verts[i]
-        lb = float(cod.norm(T @ w))
-        return lb, lb, w
-
-    if (
-        dom.kind == "lp" and dom._p == 2 and cod.kind == "lp" and cod._p == 2
-    ):
-        u, s, vt = np.linalg.svd(T)
-        w = vt[0]
-        lb = float(cod.norm(T @ w))
-        return lb, lb, w
-
-    lb, w = _ascent_lower_bound(T, dom, cod)
-    ub = _outer_upper_bound(T, dom, cod, refine)
-    ub = max(ub, lb)
-    return lb, ub, w
+        w = verts[int(np.argmax(cod.norm(verts @ T.T)))]
+    elif dom.kind == cod.kind == "lp" and dom._p == cod._p == 2:
+        w = np.linalg.svd(T)[2][0]
+    else:
+        lb, w = _ascent_lower_bound(T, dom, cod)
+        return lb, max(op_norm_upper(T, dom, cod), lb), w
+    lb = float(cod.norm(T @ w))
+    return lb, lb, w
 
 
-def op_norm_upper(matrix, dom, cod, refine=3):
-    """Sound upper bound on the operator norm (no ascent, cheap)."""
+def op_norm_upper(matrix, dom, cod):
+    """Sound upper bound on the operator norm: a float for an (l, d) matrix,
+    an (n,) array for an (n, l, d) stack.  The largest singular value for
+    l2 -> l2, else min over (V, c) in _outer_sets of c * max_v ||T v||.  A
+    stack is multiplied as V @ T^t, one gemm per matrix, and norms are taken
+    row by row, so a bound is bit-identical to that of its matrix alone."""
     T = np.asarray(matrix, dtype=float)
-    verts = dom.unit_ball_vertices()
-    if verts is not None:
-        return float(np.max(cod.norm(verts @ T.T)))
-    if dom.kind == "lp" and dom._p == 2 and cod.kind == "lp" and cod._p == 2:
-        return float(np.linalg.svd(T, compute_uv=False)[0])
-    return _outer_upper_bound(T, dom, cod, refine)
+    single = T.ndim < 3
+    if single:
+        T = _as_matrix(T)[None]
+    if dom.kind == cod.kind == "lp" and dom._p == cod._p == 2:
+        ub = np.linalg.svd(T, compute_uv=False)[:, 0]
+    else:
+        n, l = T.shape[:2]
+        bounds = []
+        for V, c in _outer_sets(dom):
+            vals = cod.norm((V @ T.transpose(0, 2, 1)).reshape(-1, l)).reshape(n, len(V))
+            bounds.append(c * np.max(vals, axis=1))
+        ub = functools.reduce(np.minimum, bounds)
+    return float(ub[0]) if single else ub
 
 
 def _ascent_lower_bound(T, dom, cod, n_random=8, seed=0):
@@ -421,40 +424,52 @@ def _ascent_lower_bound(T, dom, cod, n_random=8, seed=0):
     return lb, w
 
 
-def _outer_upper_bound(T, dom, cod, refine):
-    """max ||T x|| over a polytope containing the domain unit ball (sound ub)."""
-    d = dom.dim
-    p = dom._p
-    scale = dom._scale_vec() if dom.kind == "weighted-lp" else np.ones(d)
-    Ts = T / scale  # operator on the unweighted lp ball
-    if d == 2 and 1.0 < p < float("inf"):
-        m = 4 * (2 ** max(0, int(refine)))
-        ang = 2.0 * np.pi * np.arange(m) / m
-        u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        pts = u / (np.sum(np.abs(u) ** p, axis=1) ** (1.0 / p))[:, None]
-        normals = np.sign(pts) * np.abs(pts) ** (p - 1.0)  # n_j . x = 1 tangents
-        vecs = []
-        for j in range(m):
-            n1, n2 = normals[j], normals[(j + 1) % m]
-            A = np.stack([n1, n2])
-            try:
-                vecs.append(np.linalg.solve(A, np.ones(2)))
-            except np.linalg.LinAlgError:
-                continue
-        vals = cod.norm(np.array(vecs) @ Ts.T)
-        return float(np.max(vals))
-    # generic dimension: B_p sits inside the unit cube and in d^{1-1/p} B_1
-    bounds = []
-    if d <= _VERTEX_DIM_CAP:
-        corners = np.array(
-            [[1.0 if (i >> j) & 1 else -1.0 for j in range(d)] for i in range(2 ** d)]
-        )
-        bounds.append(float(np.max(cod.norm(corners @ Ts.T))))
-    if p < float("inf"):
-        factor = d ** (1.0 - 1.0 / p)
-        eye = np.vstack([np.eye(d), -np.eye(d)])
-        bounds.append(factor * float(np.max(cod.norm(eye @ Ts.T))))
-    return min(bounds)
+def _outer_sets(dom):
+    """Pairs (V, c) with the unit ball of dom inside c * conv(V): its extreme
+    points, the 2-d lp polygon, or the cube (up to _VERTEX_DIM_CAP) and the
+    cross-polytope, as B_p lies in [-1, 1]^d and in d^(1 - 1/p) B_1."""
+    verts = dom.unit_ball_vertices()
+    if verts is not None:
+        return [(verts, 1.0)]
+    d, p = dom.dim, dom._p
+    if d == 2:
+        sets = [(_lp_polygon(p), 1.0)]
+    else:
+        sets = [(np.vstack([np.eye(d), -np.eye(d)]), d ** (1.0 - 1.0 / p))]
+        if d <= _VERTEX_DIM_CAP:
+            sets.append((cube_corners(d), 1.0))
+    if dom.kind == "weighted-lp":
+        sets = [(V / dom._scale_vec(), c) for V, c in sets]
+    return sets
+
+
+@functools.lru_cache
+def _lp_polygon(p):
+    """Vertices of the polygon on _POLYGON_SIDES tangents to the 2-d lp unit
+    sphere, 1 < p < inf; coinciding neighbour tangents are skipped."""
+    m = _POLYGON_SIDES
+    ang = 2.0 * np.pi * np.arange(m) / m
+    u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    pts = u / (np.sum(np.abs(u) ** p, axis=1) ** (1.0 / p))[:, None]
+    normals = np.sign(pts) * np.abs(pts) ** (p - 1.0)  # n_j . x = 1 tangents
+    vecs = []
+    for j in range(m):
+        try:
+            vecs.append(np.linalg.solve(np.stack([normals[j], normals[(j + 1) % m]]), np.ones(2)))
+        except np.linalg.LinAlgError:
+            continue
+    return _frozen(np.array(vecs))
+
+
+@functools.lru_cache
+def cube_corners(d):
+    """The 2^d corners of [-1, 1]^d; bit j of row i is the sign of axis j."""
+    return _frozen(np.where((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1, 1.0, -1.0))
+
+
+def _frozen(a):
+    a.setflags(write=False)  # cached: one array for every caller
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +504,8 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
             Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             return np.inf
-        worst = 0.0
-        for j in range(1, r + 1):
-            S = U @ (B[:, :j] @ (Binv[:j, :] @ Tc))
-            worst = max(worst, op_norm_upper(S, T.dom, T.cod))
-        return worst
+        S = np.stack([U @ (B[:, :j] @ (Binv[:j, :] @ Tc)) for j in range(1, r + 1)])
+        return float(np.max(op_norm_upper(S, T.dom, T.cod)))
 
     rng = np.random.default_rng(seed)
     candidates = [np.eye(r)]

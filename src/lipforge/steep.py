@@ -48,8 +48,8 @@ class SteepSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InputError("alpha must lie in (0, 1)")
-        if self.h <= 0:
-            raise InputError("grid step must be positive")
+        if not (0.0 < self.h < np.inf):
+            raise InputError("grid step must be positive and finite")
         if self.s_res is None:
             self.s_res = self.h / 2.0
         if self.out_pad is None:
@@ -406,8 +406,8 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
         keep = H.contains(raw) & (H.dist_to_boundary(raw) > fd_step * 1.5)
         pts = raw[keep][:n_points]
         out["n_H_points"] = int(len(pts))
-        for J in fd_jacobian(g, pts, fd_step):
-            worst_fd = max(worst_fd, op_norm_upper(J - T.matrix, T.dom, T.cod))
+        residuals = op_norm_upper(fd_jacobian(g, pts, fd_step) - T.matrix, T.dom, T.cod)
+        worst_fd = np.max(residuals, initial=0.0)
     out["fd_residual"] = float(worst_fd)
     out["fd_ok"] = bool(worst_fd <= theta + gap + 1e-9)
 

@@ -213,6 +213,37 @@ def test_exit_code_config_errors(files, tmp_path):
                     "--space", "l7:2", "--alpha", "0.4",
                     "--grid", "0.25"]) == 2
     assert run_cli(["plot", "--out", str(tmp_path / "x.svg")]) == 2
+    # a JSON document whose top level is not an object
+    arr = str(tmp_path / "array.json")
+    dump_path([1, 2], arr)
+    out = str(tmp_path / "out")
+    assert run_cli(["cyl", "--op", arr]) == 2
+    assert run_cli(["xi", "--region", arr, "--p", "1,0", "--alpha", "0.4",
+                    "--grid", "0.25"]) == 2
+    assert run_cli(["steep", "--region", arr, "--p", "1,0", "--alpha", "0.4",
+                    "--grid", "0.25", "--out", out]) == 2
+    assert run_cli(["verify", "--fn", files["fn"], "--point", "0,0",
+                    "--ops", arr, "--scales", "0.1"]) == 2
+    assert run_cli(["plot", "--fn", arr, "--bbox", "0,0;1,1",
+                    "--out", str(tmp_path / "x.svg")]) == 2
+    # an output path that is a directory
+    assert run_cli(["cantor", "--level", "1", "--out", str(tmp_path)]) == 2
+    # an empty or mirrored bounding box
+    assert run_cli(["plot", "--fn", files["fn"], "--bbox", "1,1;0,0",
+                    "--out", str(tmp_path / "x.svg")]) == 2
+    assert not os.path.exists(tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize("command, grid, code", [
+    ("xi", "nan", 2), ("xi", "inf", 2), ("steep", "inf", 2),
+    ("xi", "1e-300", 4),  # finite, but the lattice would not fit in memory
+])
+def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
+    argv = [command, "--region", files["Q"], "--p", "1,0", "--alpha", "0.4",
+            "--grid", grid]
+    if command == "steep":
+        argv += ["--out", str(tmp_path / "steep")]
+    assert run_cli(argv) == code
 
 
 def test_exit_code_resolution_error(files, tmp_path):

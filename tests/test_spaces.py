@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lipforge.errors import DescriptorError
 from lipforge.spaces import (Functional, LinOp, NormedSpace, OperatorFamily,
                              cyl_constant, dense_ball_sequence, lp_space,
-                             op_norm)
+                             op_norm, op_norm_upper)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(finite, finite).map(np.array)
@@ -53,6 +53,9 @@ def test_polyhedral_norm_is_row_independent(rng):
 def test_bad_descriptor_rejected():
     with pytest.raises(DescriptorError):
         NormedSpace(2, {"kind": "nonsense"})
+    for flat in ([[0.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]):  # the hull has no interior
+        with pytest.raises(DescriptorError):
+            NormedSpace(2, {"kind": "polyhedral", "vertices": flat})
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,3 +167,67 @@ def test_op_norm_diag_linf():
     lb, ub, _ = op_norm(np.diag([2.0, -3.0]), sp, sp)
     assert lb <= 3.0 + 1e-9 <= ub + 2e-9
     assert ub - lb < 1e-6
+
+
+def test_linf_domain_above_vertex_cap():
+    # the cube is not enumerated above 12 dimensions; B_inf lies in d B_1
+    d = 13
+    T = LinOp.build(np.eye(d), lp_space(d, "inf"), lp_space(d, 1))
+    assert T.opnorm_ub == 13.0  # attained at the all-ones vector
+    assert T.opnorm_lb <= T.opnorm_ub
+
+
+def test_large_p_norm_stays_in_float_range():
+    # |x|^500 overflows above 4.2 and underflows below 0.24
+    sp = lp_space(2, 500)
+    got = sp.norm(np.array([[5.0, 0.0], [0.2, 0.0], [0.0, 0.0], [1e-300, 0.0]]))
+    assert np.array_equal(got, [5.0, 0.2, 0.0, 1e-300])
+
+
+@st.composite
+def _spaces(draw, d):
+    kind = draw(st.sampled_from(("lp", "weighted-lp", "polyhedral")))
+    if kind == "polyhedral":
+        verts = draw(st.lists(st.tuples(*[st.floats(-3, 3)] * d),
+                              min_size=d, max_size=d + 3))
+        try:
+            return NormedSpace(d, {"kind": kind, "vertices": verts})
+        except DescriptorError:
+            assume(False)
+    p = draw(st.sampled_from((1, 1.5, 2, 3, 500, "inf")))
+    if kind == "lp":
+        return lp_space(d, p)
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=d, max_size=d))
+    return NormedSpace(d, {"kind": kind, "p": p, "weights": weights})
+
+
+@st.composite
+def _operator_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    dom, cod = draw(_spaces(d)), draw(_spaces(d))
+    return dom, cod, np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_operator_cases())
+def test_op_norm_bounds_are_sound(case):
+    dom, cod, rng = case
+    T = rng.normal(size=(cod.dim, dom.dim)) * 10.0 ** rng.uniform(-2, 2)
+    ub = op_norm_upper(T, dom, cod)
+    lb, ub_bracket, w = op_norm(T, dom, cod)
+    X = np.vstack([rng.normal(size=(4000, dom.dim)), w])  # the witness attains lb
+    best = float(np.max(cod.norm(X @ T.T) / dom.norm(X)))
+    tol = 1e-12 * best
+    assert best <= ub + tol
+    assert lb - tol <= best <= ub_bracket + tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_operator_cases(), n=st.integers(3, 40))
+def test_op_norm_upper_stack_matches_single(case, n):
+    dom, cod, rng = case
+    for size in (1, 2, n):
+        S = rng.normal(size=(size, cod.dim, dom.dim))
+        stacked = op_norm_upper(S, dom, cod)
+        assert stacked.shape == (size,)
+        assert np.array_equal(stacked, [op_norm_upper(M, dom, cod) for M in S])
