@@ -148,19 +148,26 @@ class NormedSpace:
                 out = np.max(np.abs(Y), axis=1)
             elif p == 1:
                 out = np.sum(np.abs(Y), axis=1)
-            elif p == 2:
-                out = np.sqrt(np.sum(Y * Y, axis=1))
             else:
-                A = np.abs(Y)
-                with np.errstate(over="ignore", under="ignore"):
-                    s = np.sum(A ** p, axis=1)
-                out = s ** (1.0 / p)
-                # rows whose |y|^p left float range are rescaled by max |y|
-                m = np.max(A, axis=1)
-                redo = (m > 0) & (m < np.inf) & ((s < _TINY) | (s == np.inf))
-                if redo.any():
-                    A = A[redo] / m[redo, None]
-                    out[redo] = m[redo] * np.sum(A ** p, axis=1) ** (1.0 / p)
+                def power_sum(Z):  # squares for p = 2: the Euclidean formula's bits
+                    return np.sum(Z * Z if p == 2 else np.abs(Z) ** p, axis=1)
+
+                def root(s):
+                    return np.sqrt(s) if p == 2 else s ** (1.0 / p)
+
+                try:
+                    with np.errstate(over="raise", under="raise"):
+                        s = power_sum(Y)
+                    out = root(s)
+                except FloatingPointError:
+                    # some |y|^p left float range: the rows whose sum did are
+                    # rescaled by max |y|, the others keep their bits
+                    with np.errstate(over="ignore", under="ignore"):
+                        s = power_sum(Y)
+                    out = root(s)
+                    m = np.max(np.abs(Y), axis=1)
+                    redo = (m > 0) & (m < np.inf) & ((s < _TINY) | (s == np.inf))
+                    out[redo] = m[redo] * root(power_sum(Y[redo] / m[redo, None]))
         else:
             # row-wise product-sum, not a matrix product: a point's norm
             # must not depend on the batch it is evaluated in
@@ -201,7 +208,7 @@ class NormedSpace:
     def unit_ball_vertices(self):
         """Extreme points of the unit ball, or None if not enumerable."""
         if self.kind == "polyhedral":
-            return self._vertices
+            return self._vertices[np.any(self._vertices != 0.0, axis=1)]
         d, p = self.dim, self._p
         if p == 1:
             verts = np.vstack([np.eye(d), -np.eye(d)])
@@ -362,10 +369,12 @@ def op_norm(matrix, dom, cod):
     T = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(T)):
         raise InputError("operator entries must be finite")
-    verts = dom.unit_ball_vertices()
+    verts, c = _unit_ball_points(dom)
     if verts is not None:
-        w = verts[int(np.argmax(cod.norm(verts @ T.T)))]
-    elif dom.kind == cod.kind == "lp" and dom._p == cod._p == 2:
+        i = int(np.argmax(c * cod.norm(verts @ T.T)))
+        lb = float(c[i] * cod.norm(T @ verts[i]))
+        return lb, lb, verts[i]
+    if dom.kind == cod.kind == "lp" and dom._p == cod._p == 2:
         w = np.linalg.svd(T)[2][0]
     else:
         lb, w = _ascent_lower_bound(T, dom, cod)
@@ -377,7 +386,7 @@ def op_norm(matrix, dom, cod):
 def op_norm_upper(matrix, dom, cod):
     """Sound upper bound on the operator norm: a float for an (l, d) matrix,
     an (n,) array for an (n, l, d) stack.  The largest singular value for
-    l2 -> l2, else min over (V, c) in _outer_sets of c * max_v ||T v||.  A
+    l2 -> l2, else min over (V, c) in _outer_sets of max_v c ||T v||.  A
     stack is multiplied as V @ T^t, one gemm per matrix, and norms are taken
     row by row, so a bound is bit-identical to that of its matrix alone."""
     T = np.asarray(matrix, dtype=float)
@@ -391,7 +400,7 @@ def op_norm_upper(matrix, dom, cod):
         bounds = []
         for V, c in _outer_sets(dom):
             vals = cod.norm((V @ T.transpose(0, 2, 1)).reshape(-1, l)).reshape(n, len(V))
-            bounds.append(c * np.max(vals, axis=1))
+            bounds.append(np.max(c * vals, axis=1))
         ub = functools.reduce(np.minimum, bounds)
     return float(ub[0]) if single else ub
 
@@ -424,13 +433,28 @@ def _ascent_lower_bound(T, dom, cod, n_random=8, seed=0):
     return lb, w
 
 
-def _outer_sets(dom):
-    """Pairs (V, c) with the unit ball of dom inside c * conv(V): its extreme
-    points, the 2-d lp polygon, or the cube (up to _VERTEX_DIM_CAP) and the
-    cross-polytope, as B_p lies in [-1, 1]^d and in d^(1 - 1/p) B_1."""
+def _unit_ball_points(dom):
+    """(V, c) with the unit ball of dom equal to conv(c V), c one scale per
+    row, or (None, None) if the extreme points are not enumerable.  c is 1
+    for lp balls; a polyhedral ball's generators lie on its evaluated unit
+    sphere only to within the rounding of its facets (3e-10 for a ball
+    2^-23 thick), so c is one over their evaluated norms."""
     verts = dom.unit_ball_vertices()
+    if verts is None:
+        return None, None
+    if dom.kind == "polyhedral":
+        return verts, 1.0 / dom.norm(verts)
+    return verts, np.ones(len(verts))
+
+
+def _outer_sets(dom):
+    """Pairs (V, c) with the unit ball of dom inside conv(c V), c a scale or
+    one per row: its extreme points (_unit_ball_points), the 2-d lp polygon,
+    or the cube (up to _VERTEX_DIM_CAP) and the cross-polytope, as B_p lies
+    in [-1, 1]^d and in d^(1 - 1/p) B_1."""
+    verts, c = _unit_ball_points(dom)
     if verts is not None:
-        return [(verts, 1.0)]
+        return [(verts, c)]
     d, p = dom.dim, dom._p
     if d == 2:
         sets = [(_lp_polygon(p), 1.0)]

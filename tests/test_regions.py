@@ -226,6 +226,39 @@ def test_xi_monotone_in_four_corner_level(l2_2):
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def _projection_length(lo, hi, c):
+    """Length of the union of the boxes' images under x -> c . x."""
+    a = np.minimum(lo * c, hi * c).sum(axis=1)
+    b = np.maximum(lo * c, hi * c).sum(axis=1)
+    total, reach = 0.0, -math.inf
+    for x, y in sorted(zip(a.tolist(), b.tolist())):
+        if y > reach:
+            total += y - max(x, reach)
+            reach = y
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 2, *[st.floats(0.0, 0.5)] * 2),
+                      min_size=1, max_size=6),
+       n_sub=st.integers(1, 6), angle=st.floats(0.0, 2.0 * math.pi),
+       scale=st.floats(0.25, 4.0), alpha=st.floats(0.1, 0.8),
+       h=st.sampled_from((0.1, 1.0 / 7.0, 0.08)), open_=st.booleans())
+def test_xi_estimate_monotone_and_below_projection(boxes, n_sub, angle, scale,
+                                                   alpha, h, open_):
+    # P rises at least alpha ||P|| per unit of admissible curve length, and
+    # only while the curve is in G, so xi(G) <= |P(G)| / (alpha ||P||)
+    lo = np.array([[x, y] for x, y, _, _ in boxes])
+    hi = lo + np.array([[w, t] for _, _, w, t in boxes])
+    c = scale * np.array([math.cos(angle), math.sin(angle)])
+    cs = CurveSpec(Functional(c, lp_space(2, 2)), alpha, h, k=2)
+    bbox = (np.zeros(2), np.full(2, 1.5))
+    xi = xi_estimate(BoxUnion(lo, hi, open_=open_), cs, bbox=bbox)[0]
+    xi_sub = xi_estimate(BoxUnion(lo[:n_sub], hi[:n_sub], open_=open_), cs, bbox=bbox)[0]
+    assert xi_sub <= xi + 1e-12
+    assert xi <= _projection_length(lo, hi, c) / (alpha * cs.P.dual_norm) + 1e-12
+
+
 def test_pu_cover_shrinks_with_level(l2_2):
     E = gen_four_corner(3)
     P = Functional([1.0, 0.0], l2_2)

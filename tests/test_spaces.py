@@ -169,6 +169,18 @@ def test_op_norm_diag_linf():
     assert ub - lb < 1e-6
 
 
+def test_thin_polyhedral_bracket_holds_its_witness():
+    # a ball 2^-23 thick: its vertices lie on the evaluated unit sphere only
+    # to within the rounding of its facets, about 3e-10 here
+    dom = NormedSpace(3, {"kind": "polyhedral", "vertices": [
+        [0.0, 0.0, 2.0 ** -23], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]})
+    cod = lp_space(3, 1)
+    T = np.array([[7.0, -7.0, 35.0], [6.0, -29.0, 20.0], [72.0, 52.0, -39.0]])
+    lb, ub, w = op_norm(T, dom, cod)
+    assert lb == ub == pytest.approx(cod.norm(T @ w) / dom.norm(w), rel=1e-15)
+    assert op_norm_upper(T, dom, cod) == pytest.approx(ub, rel=1e-15)
+
+
 def test_linf_domain_above_vertex_cap():
     # the cube is not enumerated above 12 dimensions; B_inf lies in d B_1
     d = 13
@@ -182,6 +194,27 @@ def test_large_p_norm_stays_in_float_range():
     sp = lp_space(2, 500)
     got = sp.norm(np.array([[5.0, 0.0], [0.2, 0.0], [0.0, 0.0], [1e-300, 0.0]]))
     assert np.array_equal(got, [5.0, 0.2, 0.0, 1e-300])
+
+
+def test_l2_norm_stays_in_float_range():
+    # squares overflow above about 1e154 and underflow below about 1e-154
+    l2 = lp_space(2, 2)
+    assert l2.norm([1e160, 0.0]) == 1e160
+    T = LinOp.build(1e-170 * np.eye(2), l2, l2)
+    assert 0.0 < T.opnorm_lb <= T.opnorm_ub
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=1, max_size=20))
+def test_l2_norm_keeps_in_range_bits(rows):
+    Y = np.array(rows)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.sum(Y * Y, axis=1)
+    got = lp_space(2, 2).norm(Y)
+    in_range = (s >= np.finfo(float).tiny) & (s < np.inf)
+    assert np.array_equal(got[in_range], np.sqrt(s[in_range]))
+    # the rescaled rows agree with an overflow-free hypotenuse
+    assert got == pytest.approx(np.hypot(Y[:, 0], Y[:, 1]), rel=1e-15, abs=1e-300)
 
 
 @st.composite

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from lipforge import steep
 from lipforge.errors import HypothesisError, InputError
 from lipforge.fn import LinearFn, PlateauFn, ZeroFn
 from lipforge.regions import (BoxUnion, CurveSpec, EmptyRegion, LatticeDP,
                               box_region, gen_four_corner)
-from lipforge.spaces import Functional, LinOp, lp_space
+from lipforge.spaces import Functional, LinOp, NormedSpace, lp_space
 from lipforge.steep import (SteepSpec, bmgame_step_pu, build_psi_map,
                             build_pu_map, build_sequence, build_steep,
                             check_steep_properties, enumerate_steep_oracle,
@@ -41,6 +42,85 @@ def test_steep_scales_with_functional_norm(l2_2):
     g2 = build_steep(SteepSpec(G, Functional([0.5, 0.0], l2_2), 0.3, 0.05))
     X = np.random.default_rng(0).uniform(-0.5, 1.5, (50, 2))
     assert np.allclose(g2.eval(X), 0.5 * g1.eval(X), atol=1e-9)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("s_res", -0.1), ("s_res", 0.0), ("s_res", np.nan), ("s_res", np.inf),
+    ("out_pad", -1.0), ("out_pad", np.nan)])
+def test_steep_spec_rejects_bad_ray_and_padding(l2_2, field, value):
+    with pytest.raises(InputError):
+        SteepSpec(box_region([0, 0], [1, 1]), Functional([1.0, 0.0], l2_2),
+                  0.3, 0.1, **{field: value})
+
+
+def _record_ray_max(monkeypatch, name):
+    """Wrap steep.<name> so each call's arguments and result are kept."""
+    calls = []
+    real = getattr(steep, name)
+
+    def wrapped(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(steep, name, wrapped)
+    return calls
+
+
+# sliding-window max against the bilinear scan: they differ only by rounding
+# (the scan's bilinear weights come out near 1e-16 instead of 0), far below
+# the gap's s_res >= h / 2 term
+RAY_TOL = 1e-14
+
+
+def test_ray_max_axis_matches_scan(l2_2, monkeypatch):
+    calls = _record_ray_max(monkeypatch, "_ray_max_axis")
+    rng = np.random.default_rng(7)
+    axes = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    for trial in range(12):
+        nb = int(rng.integers(1, 6))
+        lo = rng.uniform(0.0, 1.0, (nb, 2))
+        hi = lo + rng.uniform(0.05, 0.6, (nb, 2))
+        if trial % 3 == 2:
+            lo[-1], hi[-1] = lo[0] + 0.1, hi[0] + 0.1  # overlapping boxes
+        G = BoxUnion(lo, hi, open_=bool(trial % 2))
+        c = np.array(axes[trial % 4]) * rng.uniform(0.5, 2.0)
+        h = [1.0 / 13.0, 0.07, 0.043][trial % 3]
+        g = build_steep(SteepSpec(G, Functional(c, l2_2), 0.3, h))
+        (best_fn, out_lo, shape, v, s_grid), fast = calls[-1]
+        assert len(calls) == trial + 1 and fast.shape == g.values.shape
+        # smax is not a whole number of steps: for v = -e_k the output
+        # nodes lie off the lattice along axis k
+        k = int(np.flatnonzero(v)[0])
+        steps = (G.bbox()[1][k] - G.bbox()[0][k]) / h
+        assert abs(steps - round(steps)) > 1e-3
+        scan = steep._ray_max_scan(best_fn, out_lo, shape, v, s_grid)
+        scale = max(1.0, float(np.max(np.abs(best_fn.values))))
+        assert np.max(np.abs(fast - scan)) <= RAY_TOL * scale, trial
+
+
+def test_ray_max_keeps_scan_off_the_axes(l2_2, monkeypatch):
+    def fail(*args):
+        raise AssertionError("axis path taken")
+
+    monkeypatch.setattr(steep, "_ray_max_axis", fail)
+    scan_loop = steep._ray_max_scan
+    calls = _record_ray_max(monkeypatch, "_ray_max_scan")
+    G = BoxUnion(np.array([[0.0, 0.0], [0.5, 0.4]]),
+                 np.array([[0.4, 0.3], [0.9, 0.9]]))
+    weighted = NormedSpace(2, {"kind": "weighted-lp", "p": 2, "weights": [4.0, 1.0]})
+    specs = [
+        SteepSpec(G, Functional([0.8, 0.6], l2_2), 0.3, 0.1),      # generic
+        SteepSpec(G, Functional([1.0, 0.0], weighted), 0.3, 0.1),  # v = e1 / 2
+        SteepSpec(G, Functional([0.6, -0.4], lp_space(2, "inf")), 0.3, 0.1),
+        SteepSpec(G, Functional([1.0, 0.0], l2_2), 0.3, 0.1, s_res=0.025),
+    ]
+    assert np.array_equal(specs[2].P.attain_dir, [1.0, -1.0])
+    for spec in specs:
+        g = build_steep(spec)
+        args, scan = calls[-1]
+        assert np.array_equal(g.values, np.maximum(scan, 0.0) * spec.P.dual_norm)
+        assert np.array_equal(scan, scan_loop(*args))
+    assert len(calls) == len(specs)
 
 
 def test_dp_equals_exhaustive_oracle(l2_2, rng):
