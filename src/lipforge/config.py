@@ -5,14 +5,14 @@ import os
 from .errors import InputError
 
 
-def thread_cap(default=0):
+def thread_cap():
     """Thread cap from LIPFORGE_THREADS; 0 means "leave it to the BLAS".
 
     Invalid values are a configuration error so the CLI can exit 2.
     """
     raw = os.environ.get("LIPFORGE_THREADS")
     if raw is None:
-        return default
+        return 0
     try:
         n = int(raw)
     except ValueError:

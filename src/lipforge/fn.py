@@ -472,6 +472,12 @@ class GridFn2D(LipFn):
         return val.reshape(-1, 1)
 
 
+def bump(r2):
+    """exp(1 - 1/(1 - r^2)) for squared radii r2 < 1, else 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
+
+
 @register
 class BoxBumpFn(LipFn):
     """Smooth bump supported on an axis box (product of 1-d bumps)."""
@@ -492,11 +498,7 @@ class BoxBumpFn(LipFn):
         mid = 0.5 * (self.lo_b + self.hi_b)
         half = 0.5 * (self.hi_b - self.lo_b)
         s = (X - mid) / half
-        s2 = s * s
-        inside = s2 < 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            axis_val = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
-        return np.prod(axis_val, axis=1).reshape(-1, 1)
+        return np.prod(bump(s * s), axis=1).reshape(-1, 1)
 
 
 @register
@@ -517,10 +519,7 @@ class RadialBumpFn(LipFn):
     def eval(self, X):
         X = np.asarray(X, dtype=float)
         r2 = np.sum((X - self.center) ** 2, axis=1) / self.radius ** 2
-        inside = r2 < 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            val = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
-        return val.reshape(-1, 1)
+        return bump(r2).reshape(-1, 1)
 
 
 @register

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RefereeError
+from .errors import InputError, RefereeError
 from .fn import ConstFn, LinearFn, LipFn, SumFn, ZeroFn, as_fraction
 from .prescribe import Net, build_net, prescribe_derivative
 from .regions import Region
@@ -166,7 +166,7 @@ def run_bm_game(E: Region, Q: Region, T: LinOp, playerI: PolicyBase, K: int,
     restricting Player I's opening move to a ball from a previous game.
     """
     if K < 1:
-        raise RefereeError("need at least one round")
+        raise InputError("need at least one round")
     if T.opnorm_ub >= 1.0:
         raise RefereeError("target operator must satisfy ||T|| < 1 (certified)")
     space = T.dom

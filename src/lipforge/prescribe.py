@@ -48,14 +48,13 @@ def _candidate_points(E, Q, step):
     return pts[keep]
 
 
-def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None,
-              lattice_step=None) -> Net:
+def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net:
     """Nested maximal 2^{-k}-separated subsets of E_k, k = 1..kmax.
 
     E_k keeps the points of E at distance >= 2^{-k} from the boundary of Q.
     Separation is measured in `space` (sup norm by default).  Selection is
-    greedy over a deterministic lattice sample of E, seeded with the
-    previous level so the levels are nested.
+    greedy over a deterministic lattice sample of E of step 2^{-kmax} / 4,
+    seeded with the previous level so the levels are nested.
     """
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
@@ -64,8 +63,7 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None,
         inside = Q.contains(np.vstack([bbE[0][None], bbE[1][None]]))
         if not bool(inside.all()):
             raise DomainError("E must lie inside the interior of Q")
-    step = lattice_step if lattice_step is not None else 2.0 ** (-kmax) / 4.0
-    pts = _candidate_points(E, Q, step)
+    pts = _candidate_points(E, Q, 2.0 ** (-kmax) / 4.0)
     if len(pts):
         qdist = Q.dist_to_boundary(pts)
     else:
@@ -151,5 +149,4 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
     g = LocalAffineSurgeryFn(f, gamma, as_fraction(s), beta, alpha, L.matrix,
                              space, lip_bound=1.0)
     g.alpha_exact = alpha
-    g.r = float(r_fr)
     return g, float(alpha)

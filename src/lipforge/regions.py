@@ -470,12 +470,10 @@ class LatticeDP:
         self.parent = parent
         self.pv = pv
 
-    def witness(self, end_idx=None):
-        if end_idx is None:
-            end_idx = int(np.argmax(self.best))
-        path = [end_idx]
+    def witness(self):
+        cur = int(np.argmax(self.best))
+        path = [cur]
         seen = set()
-        cur = end_idx
         while self.parent[cur] >= 0 and cur not in seen:
             seen.add(cur)
             cur = int(self.parent[cur]) // len(self.spec.step_set)
@@ -511,15 +509,19 @@ def xi_estimate(G, spec: CurveSpec, bbox=None):
     return value, float(gap), wit
 
 
-def pu_cover(E, P: Functional, eps, budget=6, h=None, k=3, inflate_frac=0.25):
+def pu_cover(E, P: Functional, eps, budget=6):
     """Open box-union cover of an IFS-type compact E with small curve mass.
 
     Sweeps IFS levels m = 0..budget, covering the level-m squares that meet
-    E by slightly larger open boxes, until the lattice estimate of the curve
-    mass is <= eps + gap.  Returns (G, achieved, gap, met_flag, m).
+    E by open boxes inflated by a quarter of their side on every face, until
+    the lattice estimate of the curve mass (cone parameter eps clipped to
+    [1e-6, 0.99], k = 3, grid step max(side / 6, 1/96)) is <= eps + gap.
+    Returns (G, achieved, gap, met_flag, m).
     """
     if eps <= 0:
         raise InputError("eps must be positive")
+    if budget < 0:
+        raise InputError("cover budget must be >= 0")
     meta = getattr(E, "meta", {})
     if meta.get("ifs") != "four-corner":
         raise InputError("pu_cover needs a four-corner IFS region (or a box subset of one)")
@@ -529,7 +531,6 @@ def pu_cover(E, P: Functional, eps, budget=6, h=None, k=3, inflate_frac=0.25):
     for m in range(0, min(int(budget), nmax) + 1):
         lo_m, side = four_corner_squares(m, ratio)
         # keep level-m squares that meet E
-        centers = lo_m + side / 2.0
         keep = []
         for lo_sq in lo_m:
             sq_lo, sq_hi = lo_sq, lo_sq + side
@@ -537,12 +538,11 @@ def pu_cover(E, P: Functional, eps, budget=6, h=None, k=3, inflate_frac=0.25):
             if overlap.any():
                 keep.append(lo_sq)
         keep = np.array(keep) if keep else lo_m[:0]
-        margin = inflate_frac * side
+        margin = 0.25 * side
         G = BoxUnion(keep - margin, keep + side + margin, open_=True,
                      meta={"cover-of-level": m})
         alpha = min(max(eps, 1e-6), 0.99)
-        hh = h if h is not None else max(side / 6.0, 1.0 / 96.0)
-        spec = CurveSpec(P, alpha, hh, k=k)
+        spec = CurveSpec(P, alpha, max(side / 6.0, 1.0 / 96.0))
         value, gap, _ = xi_estimate(G, spec)
         if best is None or value < best[1]:
             best = (G, value, gap, m)

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import (BudgetError, CoverError, DomainError, InputError,
                      PremiseError, ResolutionError)
 from .fn import (BoxBumpFn, ConstFn, ConvexShiftCombFn, LipFn, NormalizedBumpFn,
-                 PlateauFn, ProductFn, RadialBumpFn, SumFn, VecScaleFn, register)
+                 PlateauFn, ProductFn, RadialBumpFn, SumFn, VecScaleFn, bump,
+                 register)
 from .regions import BallUnion, BoxUnion, Region, box_region
 from .spaces import LinOp
 from .verify import dyadic_radius, fd_jacobian
@@ -26,8 +27,15 @@ from .verify import dyadic_radius, fd_jacobian
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre(order):
-    return np.polynomial.legendre.leggauss(int(order))
+def _tensor_rule(order, dim):
+    """Tensor Gauss-Legendre rule on [-1, 1]^dim: (n, dim) nodes, n weights."""
+    x1, w1 = np.polynomial.legendre.leggauss(int(order))
+    pts = np.stack([a.ravel() for a in np.meshgrid(*([x1] * dim), indexing="ij")],
+                   axis=1)
+    wts = np.ones(len(pts))
+    for a in np.meshgrid(*([w1] * dim), indexing="ij"):
+        wts = wts * a.ravel()
+    return pts, wts
 
 
 @dataclass
@@ -38,39 +46,21 @@ class MollifierSpec:
     eps: float
     dim: int
     order: int = 16
-    nodes: np.ndarray = field(default=None, repr=False)
-    weights: np.ndarray = field(default=None, repr=False)
-    quad_mass_defect: float = field(default=0.0)
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    quad_mass_defect: float = field(init=False)
 
     def __post_init__(self):
         if self.eps <= 0:
             raise InputError("mollifier radius must be positive")
-        x1, w1 = _gauss_legendre(self.order)
-        axes = np.meshgrid(*([x1] * self.dim), indexing="ij")
-        pts = np.stack([a.ravel() for a in axes], axis=1)
-        wts = np.ones(len(pts))
-        for a in np.meshgrid(*([w1] * self.dim), indexing="ij"):
-            wts = wts * a.ravel()
-        r2 = np.sum(pts * pts, axis=1)
-        dens = np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
-        raw = wts * dens
+        pts, wts = _tensor_rule(self.order, self.dim)
+        raw = wts * bump(np.sum(pts * pts, axis=1))
         keep = raw > 0
         raw = raw[keep]
         total = float(raw.sum())
         # mass defect of the raw quadrature against a reference finer rule
-        x2, w2 = _gauss_legendre(2 * self.order)
-        if self.dim == 1:
-            ref = float(np.sum(w2 * np.where(
-                x2 ** 2 < 1, np.exp(1.0 - 1.0 / (1.0 - x2 ** 2)), 0.0)))
-        else:
-            aa = np.meshgrid(*([x2] * self.dim), indexing="ij")
-            pp = np.stack([a.ravel() for a in aa], axis=1)
-            ww = np.ones(len(pp))
-            for a in np.meshgrid(*([w2] * self.dim), indexing="ij"):
-                ww = ww * a.ravel()
-            rr = np.sum(pp * pp, axis=1)
-            ref = float(np.sum(ww * np.where(
-                rr < 1, np.exp(1.0 - 1.0 / np.maximum(1.0 - rr, 1e-300)), 0.0)))
+        pp, ww = _tensor_rule(2 * self.order, self.dim)
+        ref = float(np.sum(ww * bump(np.sum(pp * pp, axis=1))))
         self.quad_mass_defect = abs(total - ref) / max(ref, 1e-300)
         self.nodes = pts[keep] * self.eps
         self.weights = raw / total
@@ -96,7 +86,7 @@ class MollifiedFn(ConvexShiftCombFn):
         return super().eval(X)
 
 
-def mollify(g: LipFn, spec: MollifierSpec, U_eps: Region = None) -> LipFn:
+def mollify(g: LipFn, spec: MollifierSpec) -> LipFn:
     """g * rho_eps as a quadrature-convolution node.
 
     Values move by at most Lip(g) * eps (convex combination of translates
@@ -104,7 +94,7 @@ def mollify(g: LipFn, spec: MollifierSpec, U_eps: Region = None) -> LipFn:
     """
     if spec.dim != g.d:
         raise InputError("mollifier dimension mismatch")
-    return MollifiedFn(g, spec.nodes, spec.weights, domain=U_eps)
+    return MollifiedFn(g, spec.nodes, spec.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +108,6 @@ class PartitionOfUnity:
     supports: list        # Regions containing the supports
     lips: list            # sampled Lipschitz estimates per element
     M: int                # sampled local-finiteness bound
-    theta_ks: list = None  # per-element error budgets (set by callers)
 
     def sum_at(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -133,23 +122,23 @@ def _bump_for(region: Region):
     raise InputError("cover elements must be single boxes or single balls")
 
 
-def _sample_lattice(V: Region, n_side=40):
+def _sample_lattice(V: Region):
     bb = V.bbox()
     if bb is None:
         raise DomainError("need a bounded region to sample")
     lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
-    axes = [np.linspace(lo[i], hi[i], n_side) for i in range(len(lo))]
+    axes = [np.linspace(lo[i], hi[i], 40) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = V.contains(pts)
     return pts[keep]
 
 
-def _sampled_lip(f: LipFn, region: Region, pairs=400, seed=0):
+def _sampled_lip(f: LipFn, region: Region, seed=0):
     bb = region.bbox()
     lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
     rng = np.random.default_rng(seed)
-    X = rng.uniform(lo, hi, (pairs, len(lo)))
+    X = rng.uniform(lo, hi, (400, len(lo)))
     Y = X + rng.uniform(-1, 1, X.shape) * (hi - lo) * 0.05
     dn = np.max(np.abs(X - Y), axis=1)
     ok = dn > 1e-12
@@ -235,19 +224,16 @@ def compact_selection(cover, V: Region, E: Region):
 # ---------------------------------------------------------------------------
 
 
-def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks,
-                 theta_ks=None, theta=None, check_samples=200, seed=0) -> LipFn:
+def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
+                 theta=None, seed=0) -> LipFn:
     """h~ = sum_k phi_k h_k + (1 - sum_k phi_k) h on U, exactly h off U.
 
     Requires the local-approximation premise ||h_k - h|| <= theta_k on the
-    k-th support (sampled), and the budget sum (1 + Lip phi_k) theta_k <= theta
-    when a total budget is given.
+    k-th support (sampled at 200 points), and the budget
+    sum (1 + Lip phi_k) theta_k <= theta when a total budget is given.
     """
     if len(h_ks) != len(pou.phis):
         raise InputError("approximant count must match the partition")
-    theta_ks = list(theta_ks) if theta_ks is not None else pou.theta_ks
-    if theta_ks is None:
-        raise InputError("need per-element budgets theta_k")
     if theta is not None:
         budget = sum((1.0 + lp) * tk for lp, tk in zip(pou.lips, theta_ks))
         if budget > theta + 1e-12:
@@ -257,7 +243,7 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks,
     for k, (hk, sup, tk) in enumerate(zip(h_ks, pou.supports, theta_ks)):
         bb = sup.bbox()
         lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
-        pts = rng.uniform(lo, hi, (check_samples, len(lo)))
+        pts = rng.uniform(lo, hi, (200, len(lo)))
         resid = np.max(np.abs(hk.eval(pts) - h.eval(pts)), axis=1)
         if np.max(resid) > tk + 1e-9:
             i = int(np.argmax(resid))
@@ -294,7 +280,7 @@ def _switch(U, inside, outside, lip):
 
 
 def c1_replace(g: LipFn, V: Region, psi, T: LinOp, xi, theta,
-               U_xi: Region = None, moll_order=16) -> LipFn:
+               U_xi: Region = None) -> LipFn:
     """Replace g by a function smooth where xi > 0, equal to g elsewhere.
 
     xi is a scalar field (LipFn or constant); U_xi is the open region
@@ -324,7 +310,7 @@ def c1_replace(g: LipFn, V: Region, psi, T: LinOp, xi, theta,
     lip_g = g.lip_bound if g.lip_bound is not None else 1.0
     theta_1 = theta / (1.0 + plateau.lip_bound)
     eps_1 = theta_1 / (2.0 * (lip_g + 1.0))
-    spec = MollifierSpec(eps_1, g.d, order=moll_order)
+    spec = MollifierSpec(eps_1, g.d)
     g_eps = mollify(g, spec)
     return sla_assemble(g, U_xi, pou, [g_eps], theta_ks=[theta_1], theta=theta)
 
@@ -334,25 +320,29 @@ def c1_replace(g: LipFn, V: Region, psi, T: LinOp, xi, theta,
 # ---------------------------------------------------------------------------
 
 
-def _directional_kernel(length, order):
-    """1-d bump quadrature on [-length/2, length/2], unit mass."""
-    x1, w1 = _gauss_legendre(order)
-    dens = np.where(x1 ** 2 < 1, np.exp(1.0 - 1.0 / np.maximum(1.0 - x1 ** 2, 1e-300)), 0.0)
-    raw = w1 * dens
+def _directional_kernel(length):
+    """1-d bump quadrature of order 16 on [-length/2, length/2], unit mass."""
+    x, w = _tensor_rule(16, 1)
+    raw = w * bump(x[:, 0] ** 2)
     keep = raw > 0
-    return x1[keep] * (length / 2.0), raw[keep] / raw[keep].sum()
+    return x[keep, 0] * (length / 2.0), raw[keep] / raw[keep].sum()
 
 
-def smooth_around(E: Region, Q: Region, f: LipFn, eps, rho=None, n_dir=16,
-                  n_use=None, order=16, seed=0) -> LipFn:
+def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     """Smooth f near E, keep it unchanged off a neighborhood of E.
 
-    The local approximant is f convolved along a fixed direction sample of
-    the unit sphere with kernels of geometrically shrinking supports
-    |J_i| = eps / (2 (Lip f + 1) 2^i); in dimension d only the first d
-    (independent) directions change the values, so the convolution product
-    is truncated there and the skipped tail is within the eps budget.
+    The local approximant is f convolved along a fixed sample of 16
+    directions of the unit sphere (equally spaced angles in the plane,
+    seeded Gaussian draws above it) with order-16 kernels of geometrically
+    shrinking supports |J_i| = eps / (2 (Lip f + 1) 2^i); in dimension d
+    only the first d (independent) directions change the values, so the
+    convolution product is truncated there and the skipped tail is within
+    the eps budget.  The result is smooth on the open box hull of
+    B(E, rho), rho = min(room / 2, 1/4), where room is the gap between E
+    and the boundary of Q.
     """
+    if not 0.0 < eps < np.inf:
+        raise InputError("eps must be positive and finite")
     d = f.d
     lip_f = f.lip_bound if f.lip_bound is not None else 1.0
     bbE = E.bbox()
@@ -367,29 +357,23 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, rho=None, n_dir=16,
         room = float("inf")
     if room <= 0:
         raise DomainError("E must lie strictly inside Q")
-    if rho is None:
-        rho = min(room / 2.0, 0.25)
-    if rho >= room:
-        raise DomainError("no room between B(E, rho) and the boundary of Q")
-    n_use = d if n_use is None else int(n_use)
+    rho = min(room / 2.0, 0.25)
     if d == 1:
         dirs = [np.array([1.0])]
-        n_use = 1
+    elif d == 2:
+        dirs = [np.array([np.cos(a), np.sin(a)]) for a in np.pi * np.arange(16) / 16]
     else:
-        angles = np.pi * np.arange(n_dir) / n_dir
-        dirs = [np.array([np.cos(a), np.sin(a)]) if d == 2 else None for a in angles]
-        if d > 2:
-            rng = np.random.default_rng(seed)
-            dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((n_dir, d))]
+        rng = np.random.default_rng(seed)
+        dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((16, d))]
     # flatten the directional convolutions into one convex combination over
     # the Minkowski sum of the per-direction quadratures (nested nodes would
     # cost order^n evaluations per point)
     shifts = np.zeros((1, d))
     weights = np.ones(1)
     total_shift = 0.0
-    for i in range(min(n_use, len(dirs))):
+    for i in range(min(d, len(dirs))):
         J = eps / (2.0 * (lip_f + 1.0) * 2.0 ** (i + 1))
-        offs, wts = _directional_kernel(J, order)
+        offs, wts = _directional_kernel(J)
         step = offs[:, None] * dirs[i][None, :]
         shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, d)
         weights = (weights[:, None] * wts[None, :]).ravel()
@@ -409,10 +393,9 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, rho=None, n_dir=16,
     if plateau.lip_bound * theta_1 > eps:
         raise BudgetError("plateau slope exceeds the eps budget; enlarge Q room")
     g = sla_assemble(f, box_region(lo_s, hi_s, open_=True), pou, [h1],
-                     theta_ks=[theta_1], theta=None, check_samples=200, seed=seed)
+                     theta_ks=[theta_1], theta=None, seed=seed)
     g.lip_bound = lip_f + eps
     g.smooth_region = box_region(lo_h, hi_h, open_=True)
-    g.uniform_error = theta_1
     return g
 
 
@@ -421,10 +404,15 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, rho=None, n_dir=16,
 # ---------------------------------------------------------------------------
 
 
-def uniform_diff_radius(g: LipFn, E: Region, theta, n_points=20, n_dirs=8,
-                        seed=0, fd_h=1e-5):
+def uniform_diff_radius(g: LipFn, E: Region, theta, seed=0):
     """Largest dyadic delta in (0, theta) with first-order Taylor residual
-    <= (theta/2) ||y|| on a (point x direction x radius) grid over E."""
+    <= (theta/2) ||y|| on a (point x direction x radius) grid over E.
+
+    The points are 20 seeded uniform draws kept inside E plus the center of
+    its bounding box; the 8 directions are the 2d signed axes topped up
+    with seeded Gaussian ones; the Jacobians are central differences with
+    step 1e-5; the radii run from the first 2^-m below theta to 2^-30.
+    """
     if theta <= 0:
         raise InputError("theta must be positive")
     bb = E.bbox()
@@ -432,14 +420,14 @@ def uniform_diff_radius(g: LipFn, E: Region, theta, n_points=20, n_dirs=8,
         raise DomainError("E must be bounded")
     lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, (n_points, len(lo)))
+    pts = rng.uniform(lo, hi, (20, len(lo)))
     keep = E.contains(pts)
     pts = np.vstack([pts[keep], (lo + hi) / 2.0])
     d = g.d
     dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
-    raw = rng.standard_normal((max(0, n_dirs - len(dirs)), d))
+    raw = rng.standard_normal((max(0, 8 - len(dirs)), d))
     dirs += [v / np.linalg.norm(v) for v in raw]
-    jacs_t = fd_jacobian(g, pts, fd_h).transpose(0, 2, 1)
+    jacs_t = fd_jacobian(g, pts, 1e-5).transpose(0, 2, 1)
 
     m = 1
     while 2.0 ** (-m) >= theta:

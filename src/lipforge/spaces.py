@@ -405,7 +405,7 @@ def op_norm_upper(matrix, dom, cod):
     return float(ub[0]) if single else ub
 
 
-def _ascent_lower_bound(T, dom, cod, n_random=8, seed=0):
+def _ascent_lower_bound(T, dom, cod, seed=0):
     d = dom.dim
     rng = np.random.default_rng(seed)
     starts = [np.eye(d)[i] for i in range(d)]
@@ -414,7 +414,7 @@ def _ascent_lower_bound(T, dom, cod, n_random=8, seed=0):
         starts.append(vt[0])
     except np.linalg.LinAlgError:
         pass
-    starts.extend(rng.standard_normal(d) for _ in range(n_random))
+    starts.extend(rng.standard_normal(d) for _ in range(8))
 
     def neg_ratio(y):
         ny = dom.norm(y)

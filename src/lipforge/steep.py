@@ -301,13 +301,13 @@ def enumerate_steep_oracle(G: Region, cs: CurveSpec, bbox):
 
 
 def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
-                 cover_h=None, seed=0):
+                 seed=0):
     """(g, H): Lip(g) near c(T)+theta, Dg close to T on the region H around
     the purely unrectifiable set E, and g supported inside U.
 
     g is assembled coordinate-wise from steep functions on small covers of
     E, gated by a C1 plateau that is 1 on a neighborhood of E and 0 outside
-    U.  Attributes on g: gap, parts (per-coordinate diagnostics), plateau.
+    U.  Attributes on g: gap, parts (per-coordinate diagnostics), cyl_value.
     """
     if theta <= 0:
         raise InputError("theta must be positive")
@@ -349,7 +349,6 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
     terms = []
     total_sup = 0.0
     total_gap = 0.0
-    total_slope = 0.0
     H_list = []
     for i, (w, dual) in enumerate(zip(ws, duals)):
         Ti_row = dual @ T.matrix
@@ -373,7 +372,7 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
             if eps_try <= 0 or eps_try / (1.0 - eps_try) * ti_norm * w_norm > slope_budget:
                 continue
             G_try, xi_val, xi_gap, met, level = pu_cover(
-                E, P, eps_try, budget=cover_budget, h=cover_h)
+                E, P, eps_try, budget=cover_budget)
             tried.append(eps_try)
             sup_est = w_norm * ti_norm * xi_val / 2.0
             if sup_est <= sup_budget:
@@ -393,7 +392,6 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         gated = ProductFn(plateau, centered)
         terms.append(OuterFn(gated, np.asarray(w, dtype=float).ravel()))
         total_sup += w_norm * vmax / 2.0
-        total_slope += w_norm * ti_norm * eps_i / (1.0 - eps_i)
         # discretization part only: the cone slope is budgeted under theta
         total_gap += w_norm * ti_norm * (2.0 * h_i * (1 + s.spec.k) + s.spec.s_res)
         shrink = side / 12.0  # half the inflation margin: keeps E inside
@@ -424,21 +422,20 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         return g, EmptyRegion(d)
     g = SumFn(terms)
     g.gap = float(total_gap)
-    g.cone_slope = float(total_slope)
     g.parts = parts
-    g.plateau = plateau
     g.cyl_value = float(cval)
     H = H_list[0] if len(H_list) == 1 else Intersection(H_list)
     return g, H
 
 
 def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
-                       n_points=200, fd_step=None, pairs=4000, seed=0):
+                       n_points=200, fd_step=None, seed=0):
     """Sampled checks of the derivative-map postconditions.
 
     Returns a dict with the worst finite-difference residual ||J - T|| at
-    interior H lattice points, the sampled sup norm and Lipschitz constant,
-    the support leak outside U, and the reported gap.
+    interior H lattice points, the sampled sup norm (20,000 points around
+    U) and Lipschitz constant (4,000 nearby pairs), the support leak
+    outside U, and the reported gap.
     """
     rng = np.random.default_rng(seed)
     d = T.dom.dim
@@ -481,10 +478,11 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     out["support_leak"] = leak
     out["support_ok"] = bool(leak <= 1e-12)
 
-    Y = X[:pairs] + rng.uniform(-1, 1, (min(pairs, len(X)), d)) * 0.05
-    dn = T.dom.norm(X[:pairs] - Y)
+    X = X[:4000]
+    Y = X + rng.uniform(-1, 1, X.shape) * 0.05
+    dn = T.dom.norm(X - Y)
     ok = dn > 1e-9
-    ratios = T.cod.norm(g.eval(X[:pairs][ok]) - g.eval(Y[ok])) / dn[ok]
+    ratios = T.cod.norm(g.eval(X[ok]) - g.eval(Y[ok])) / dn[ok]
     out["lip_sampled"] = float(np.max(ratios, initial=0.0))
     cval = getattr(g, "cyl_value", T.opnorm_ub)
     out["lip_ok"] = bool(out["lip_sampled"] <= cval + theta + gap + 1e-9)
@@ -524,7 +522,7 @@ class PsiMap:
         return self.eval(X)
 
 
-def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side=48, pad=0.0):
+def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side=48):
     """Open box union over lattice cells where phi >= thresh."""
     lo, hi = np.asarray(bbox[0], float), np.asarray(bbox[1], float)
     xs = np.linspace(lo[0], hi[0], n_side)
@@ -536,7 +534,7 @@ def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side=48, pad=0.0):
     keep = centers[vals >= thresh]
     if len(keep) == 0:
         return None
-    cell = np.array([hx / 2 + pad, hy / 2 + pad])
+    cell = np.array([hx / 2, hy / 2])
     return BoxUnion(keep - cell, keep + cell, open_=True)
 
 
@@ -610,8 +608,6 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     spec = MollifierSpec(max(eta * 0.02, 1e-3), d, order=8)
     f = mollify(raw, spec)
     f.lip_bound = None
-    f.psi_theta = theta
-    f.psi_k = k
     return f, psi, H_core
 
 
@@ -620,12 +616,12 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule,
-                   n_side=24, seed=0):
+def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule, seed=0):
     """Iterate the staircase map over a schedule of (T_j, phi_j, theta_j).
 
     Each step adds a psi-map perturbation bounded by theta_j and vanishing
-    where phi_j vanishes.  Returns the list of (H_j, f_j, psi_j), j >= 1;
+    where phi_j vanishes; each psi map reads phi_j on a 24-cell lattice.
+    Returns the list of (H_j, f_j, psi_j), j >= 1;
     an empty schedule returns [(H0, f0, None)].
     """
     if not (0.0 < eta < 1.0 + 1e-12):
@@ -634,7 +630,7 @@ def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule,
     f_prev = f0
     for j, (Tj, phij, thetaj) in enumerate(schedule, start=1):
         eta_j = min(2.0 ** (-j) * eta, thetaj)
-        gj, psij, Hj = build_psi_map(E, eta_j, phij, Tj, n_side=n_side, seed=seed + j)
+        gj, psij, Hj = build_psi_map(E, eta_j, phij, Tj, n_side=24, seed=seed + j)
         if not isinstance(gj, ZeroFn):
             # rescale the perturbation into the theta_j sup-norm budget
             bb = E.bbox()
@@ -657,7 +653,7 @@ def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule,
 
 
 def bmgame_step_pu(E: Region, H: Region, Q: Region, theta, f: LipFn, T: LinOp,
-                   fd_h=1e-4, seed=0):
+                   seed=0):
     """(U, g, delta): perturb f so its derivative near E is close to T.
 
     Preconditions: Lip(f) < 1 (certified bound on the node), ||T|| < 1.
@@ -683,7 +679,7 @@ def bmgame_step_pu(E: Region, H: Region, Q: Region, theta, f: LipFn, T: LinOp,
     U = box_region(loE - room * 0.9, hiE + room * 0.9, open_=True)
 
     x0 = (loE + hiE) / 2.0
-    A = fd_jacobian(f, x0, fd_h)
+    A = fd_jacobian(f, x0, 1e-4)
     corr = LinOp.build(T.matrix - A, T.dom, T.cod)
     if corr.opnorm_ub <= 1e-12:
         delta = slope_radius(f, E, T, theta, seed=seed)
@@ -699,25 +695,30 @@ def bmgame_step_pu(E: Region, H: Region, Q: Region, theta, f: LipFn, T: LinOp,
     return U, g, delta
 
 
-def slope_radius(g: LipFn, E: Region, T: LinOp, theta, n_dirs=8, seed=0,
-                 min_exp=30):
+def slope_radius(g: LipFn, E: Region, T: LinOp, theta, seed=0):
     """Largest dyadic delta with ||g(x+y) - g(x) - T y|| <= (theta/2) delta
     for sampled x in E and ||y|| <= delta; the theta/2 margin absorbs any
-    sup-perturbation of g up to theta*delta/8."""
+    sup-perturbation of g up to theta*delta/8.
+
+    x runs over the box centers of E (40 seeded ones when there are more;
+    the bounding-box center unless E is a box union), y over 8 seeded
+    Gaussian directions scaled to the unit sphere of T.dom, and delta over
+    2^-1 down to 2^-30.
+    """
     rng = np.random.default_rng(seed)
     pts = E.lo + (E.hi - E.lo) / 2.0 if isinstance(E, BoxUnion) else \
         np.asarray(E.bbox(), float).mean(axis=0)[None]
     pts = np.atleast_2d(pts)
     if len(pts) > 40:
         pts = pts[rng.choice(len(pts), 40, replace=False)]
-    dirs = rng.normal(size=(n_dirs, T.dom.dim))
+    dirs = rng.normal(size=(8, T.dom.dim))
     dirs /= np.asarray(T.dom.norm(dirs))[:, None]
     l = T.cod.dim
     delta = dyadic_radius(
-        g, pts, dirs, range(1, min_exp + 1), lambda Y: Y @ T.matrix.T,
+        g, pts, dirs, range(1, 31), lambda Y: Y @ T.matrix.T,
         lambda r, Y, rho: (T.cod.norm(r.reshape(-1, l)).reshape(r.shape[:2])
                            > theta / 2.0 * rho))
     if delta is None:
-        raise ResolutionError("no dyadic radius above 2^-%d satisfies the slope "
-                              "condition" % min_exp)
+        raise ResolutionError("no dyadic radius above 2^-30 satisfies the slope "
+                              "condition")
     return delta

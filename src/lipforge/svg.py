@@ -7,14 +7,15 @@ from .errors import InputError
 from .serialize import enc_float
 
 _HEX = ["#%02x%02x%02x" % tuple(rgb) for rgb in TABLE]
+_CELL_PX = 4
 
 
-def heatmap_svg(values, bbox, title="", cell_px=4):
+def heatmap_svg(values, bbox, title=""):
     """SVG string for a 2-d scalar field sampled on a regular grid.
 
     values: (nx, ny) array (axis 0 = x, axis 1 = y); bbox: (lo, hi).  Cells
-    are colored by the fixed 256-entry table after min-max normalization;
-    the value range is recorded in a comment for reference.
+    are 4 pixels square, colored by the fixed 256-entry table after min-max
+    normalization; the value range is recorded in a comment for reference.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -22,7 +23,7 @@ def heatmap_svg(values, bbox, title="", cell_px=4):
     nx, ny = values.shape
     vmin, vmax = float(np.min(values)), float(np.max(values))
     spread = vmax - vmin if vmax > vmin else 1.0
-    w, h = nx * cell_px, ny * cell_px
+    w, h = nx * _CELL_PX, ny * _CELL_PX
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
                'viewBox="0 0 %d %d">' % (w, h, w, h))
@@ -37,14 +38,14 @@ def heatmap_svg(values, bbox, title="", cell_px=4):
         for j in range(ny):
             # SVG y grows downward; flip so bbox hi_y is at the top
             out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
-                       % (i * cell_px, (ny - 1 - j) * cell_px, cell_px,
-                          cell_px, _HEX[idx[i, j]]))
+                       % (i * _CELL_PX, (ny - 1 - j) * _CELL_PX, _CELL_PX,
+                          _CELL_PX, _HEX[idx[i, j]]))
     out.append("</svg>")
     return "\n".join(out)
 
 
-def write_heatmap(path, values, bbox, title="", cell_px=4):
+def write_heatmap(path, values, bbox, title=""):
     # render before opening, so a field that cannot be drawn leaves no file
-    text = heatmap_svg(values, bbox, title=title, cell_px=cell_px)
+    text = heatmap_svg(values, bbox, title=title)
     with open(path, "w") as fh:
         fh.write(text)

@@ -3,6 +3,7 @@ Lipschitz-constant estimation, two-sided lower-derivative checks and
 finite-difference smoothness checks.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,20 +56,23 @@ def _directions(d, n_random, seed, space: NormedSpace):
     return np.array(dirs)
 
 
-def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1,
-                        cod: NormedSpace = None, Q=None, seed=0,
-                        exact=False) -> DerivScanReport:
+def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
+                        seed=0, exact=False) -> DerivScanReport:
     """Per-scale increment-ratio errors e_j(T) for each candidate operator.
 
     e_j(T) = max over sampled unit directions u of
     ||f(x + r_j u) - f(x) - T(r_j u)|| / r_j.  The verdict for T holds iff
     min_j e_j(T) <= tol.  With exact=True the increments are evaluated in
-    rational arithmetic (needed at microscopic scales).
+    rational arithmetic (needed at microscopic scales).  Every scale must
+    be positive and finite, as a float or, with exact=True, as given.
     """
     x = np.asarray(x, dtype=float).ravel()
     ops = list(ops)
     if not ops:
         raise InputError("need at least one candidate operator")
+    radii = list(scales) if exact else [float(s) for s in scales]
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise InputError("scales must be positive and finite, got %r" % (radii,))
     dom = ops[0].dom
     if Q is not None:
         db = float(Q.dist_to_boundary(x[None])[0])

@@ -80,7 +80,8 @@ def test_steep_certificate_and_svg(files, tmp_path):
     assert rc == 0
     cert = load_path(os.path.join(out, "certificate.json"))
     assert all(c["ok"] for c in cert.values() if isinstance(c, dict))
-    svg_text = open(os.path.join(out, "g.svg")).read()
+    with open(os.path.join(out, "g.svg")) as fh:
+        svg_text = fh.read()
     assert svg_text.startswith("<svg") and "rect" in svg_text
 
 
@@ -95,7 +96,8 @@ def test_verify_and_csv(files, tmp_path):
                   "--csv", csv])
     # fn has matrix 0.4 I, op is diag(0.3, -0.2): mismatch -> exit 3
     assert rc == 3
-    rows = open(csv).read().strip().splitlines()
+    with open(csv) as fh:
+        rows = fh.read().strip().splitlines()
     assert rows[0] == "op,scale,error"
     assert len(rows) == 3
 
@@ -118,7 +120,8 @@ def test_game_outputs(files, tmp_path):
     assert rc == 0
     cert = load_path(os.path.join(out, "certificate.json"))
     assert len(cert["levels"]) == 2
-    csv = open(os.path.join(out, "levels.csv")).read().splitlines()
+    with open(os.path.join(out, "levels.csv")) as fh:
+        csv = fh.read().splitlines()
     assert csv[0] == "level,error,bound,points"
 
 
@@ -152,7 +155,8 @@ def test_plot_roundtrip_lfgf(files, tmp_path):
     assert np.allclose(bb[0], [-1, -1]) and np.allclose(bb[1], [1, 1])
     svg2 = str(tmp_path / "f2.svg")
     assert run_cli(["plot", "--grid", lfgf, "--out", svg2]) == 0
-    assert open(svg2).read().startswith("<svg")
+    with open(svg2) as fh:
+        assert fh.read().startswith("<svg")
 
 
 def _reference_heatmap(values, bbox, title="", cell_px=4):
@@ -232,6 +236,12 @@ def test_exit_code_config_errors(files, tmp_path):
     assert run_cli(["plot", "--fn", files["fn"], "--bbox", "1,1;0,0",
                     "--out", str(tmp_path / "x.svg")]) == 2
     assert not os.path.exists(tmp_path / "x.svg")
+    # scan radii that are not positive and finite, in float and exact mode
+    for scales in ("-0.1", "0", "inf", "nan", "0.1,-0.1"):
+        for exact in ([], ["--exact"]):
+            assert run_cli(["verify", "--fn", files["fn"], "--point", "0,0",
+                            "--ops", files["op"], "--scales=" + scales]
+                           + exact) == 2
 
 
 @pytest.mark.parametrize("command, grid, code", [
@@ -244,6 +254,18 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
     if command == "steep":
         argv += ["--out", str(tmp_path / "steep")]
     assert run_cli(argv) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--set", "{E}", "--q", "{Q}", "--op", "{op_inf}", "--rounds", "0"],
+    ["smooth", "--fn", "{dist}", "--set", "{E}", "--q", "{Q}", "--eps", "0"],
+    ["smooth", "--fn", "{dist}", "--set", "{E}", "--q", "{Q}", "--eps", "-1"],
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op}", "--theta", "0.3",
+     "--budget", "-1"],
+])
+def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert run_cli(argv) == 2
 
 
 def test_exit_code_resolution_error(files, tmp_path):
@@ -272,8 +294,10 @@ def test_determinism_byte_identical(files, tmp_path):
         assert rc == 0
         outs.append(out)
     for name in ("limit.json", "certificate.json", "levels.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        with open(os.path.join(outs[0], name), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(outs[1], name), "rb") as fh:
+            b = fh.read()
         assert a == b, name
 
 

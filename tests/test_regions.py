@@ -275,3 +275,9 @@ def test_pu_cover_rejects_non_ifs(l2_2):
     P = Functional([1.0, 0.0], l2_2)
     with pytest.raises(InputError):
         pu_cover(box_region([0, 0], [1, 1]), P, 0.1)
+
+
+def test_pu_cover_rejects_negative_budget(l2_2):
+    P = Functional([1.0, 0.0], l2_2)
+    with pytest.raises(InputError):
+        pu_cover(gen_four_corner(2), P, 0.3, budget=-1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,33 @@ from lipforge.smooth import (MollifierSpec, build_pou, c1_replace,
                              smooth_around, uniform_diff_radius)
 from lipforge.spaces import LinOp, lp_space
 from lipforge.verify import c1_check, fd_jacobian, lip_estimate
+
+
+# (order, dim), sha256 prefixes of the float.hex of every node and weight,
+# and float.hex of quad_mass_defect, for eps = 0.3
+MOLLIFIER_PINS = [
+    ((2, 1), "72510399f19a48b1", "19210efe34eaa7fe", "0x1.928ff9795ff04p-6"),
+    ((9, 1), "c2539a1be9327806", "0215b2febac05ced", "0x1.0725c0f948edcp-11"),
+    ((16, 1), "a18adebcded3f8a2", "eaea3c4e32422ff5", "0x1.5cf7db51e94f4p-17"),
+    ((8, 2), "194a29f2cdda687c", "78b9ad7f2fbc1999", "0x1.452542f70cdb7p-9"),
+    ((12, 2), "457957826609c556", "e2aa7814bb544306", "0x1.1c45052c10e9cp-11"),
+    ((16, 2), "8c18fc2456ed4878", "1718ac37f109ff8c", "0x1.0d0d45df2fe2cp-14"),
+    ((5, 3), "12a698d52ed41463", "bb616dc2613a5665", "0x1.41c46a43927f6p-11"),
+]
+
+
+def _hex_digest(a):
+    text = ",".join(float.hex(float(v)) for v in np.ravel(a))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("order_dim, nodes, weights, defect", MOLLIFIER_PINS)
+def test_mollifier_rule_bits_pinned(order_dim, nodes, weights, defect):
+    order, dim = order_dim
+    spec = MollifierSpec(0.3, dim, order=order)
+    assert _hex_digest(spec.nodes) == nodes
+    assert _hex_digest(spec.weights) == weights
+    assert float.hex(spec.quad_mass_defect) == defect
 
 
 def test_mollify_preserves_affine(rng):
