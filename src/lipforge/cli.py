@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import gridfile, svg
-from .config import apply_thread_cap
 from .errors import (BudgetError, ConstructionError, CoverError,
                      HypothesisError, InputError, LipforgeError, PremiseError,
                      RefereeError, ResolutionError)
@@ -435,7 +434,6 @@ def run_cli(argv):
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        apply_thread_cap()
         if args.command == "plot" and not (args.grid or (args.fn and args.bbox)):
             raise InputError("plot needs --grid or --fn with --bbox")
         return args.func(args)

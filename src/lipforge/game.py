@@ -21,6 +21,7 @@ from .fn import ConstFn, LinearFn, LipFn, SumFn, ZeroFn, as_fraction
 from .prescribe import Net, build_net, prescribe_derivative
 from .regions import Region
 from .spaces import LinOp, NormedSpace, cube_corners
+from .verify import exact_increment_residuals
 
 
 def _space_bound_on(Q: Region, space: NormedSpace) -> Fraction:
@@ -46,7 +47,6 @@ class GameTranscript:
     T: LinOp
     net: Net
     policy_name: str
-    witnesses: np.ndarray = None
     limit_bound: Fraction = None  # analytic sup bound of the limit over Q
 
     @property
@@ -67,11 +67,10 @@ class GameTranscript:
         return gamma_K, counts
 
     def select_witnesses(self):
-        K = len(self.rounds)
+        """Final-level net points in the tube unions of at least half the
+        levels."""
         pts, counts = self.witness_counts()
-        need = (K + 1) // 2
-        self.witnesses = pts[counts >= need]
-        return self.witnesses
+        return pts[counts >= (len(self.rounds) + 1) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ class PolicyBase:
     def open(self, d, l):
         return ZeroFn(d, l), Fraction(1, 2), Fraction(0)
 
-    def move(self, k, g_prev, s_prev, g_bound, retry=False):
+    def move(self, k, g_prev, s_prev, g_bound):
         raise NotImplementedError
 
 
@@ -107,7 +106,7 @@ class IdentityPolicy(PolicyBase):
 
     name = "identity"
 
-    def move(self, k, g_prev, s_prev, g_bound, retry=False):
+    def move(self, k, g_prev, s_prev, g_bound):
         return g_prev, s_prev / 2, Fraction(0)
 
 
@@ -116,7 +115,7 @@ class RandomPolicy(PolicyBase):
 
     name = "seeded-random"
 
-    def move(self, k, g_prev, s_prev, g_bound, retry=False):
+    def move(self, k, g_prev, s_prev, g_bound):
         d, l = g_prev.d, g_prev.l
         M = self.rng.uniform(-0.5, 0.5, (l, d))
         R = LinOp.build(M, self.dom, self.cod)
@@ -137,7 +136,7 @@ class SpoilerPolicy(PolicyBase):
 
     name = "spoiler"
 
-    def move(self, k, g_prev, s_prev, g_bound, retry=False):
+    def move(self, k, g_prev, s_prev, g_bound):
         l = g_prev.l
         e1 = np.zeros(l)
         e1[0] = 1.0
@@ -187,7 +186,7 @@ def run_bm_game(E: Region, Q: Region, T: LinOp, playerI: PolicyBase, K: int,
         else:
             f_k, r_k, delta = playerI.move(k, g_prev, s_prev, g_bound)
             if delta + r_k > s_prev:
-                f_k, r_k, delta = playerI.move(k, g_prev, s_prev, g_bound, retry=True)
+                f_k, r_k, delta = playerI.move(k, g_prev, s_prev, g_bound)
                 if delta + r_k > s_prev:
                     raise RefereeError("adversary ball not inside previous ball")
         f_bound = g_bound + delta
@@ -208,7 +207,6 @@ def run_bm_game(E: Region, Q: Region, T: LinOp, playerI: PolicyBase, K: int,
 
     t = GameTranscript(rounds, T, net, playerI.name)
     t.limit_bound = g_bound
-    t.select_witnesses()
     return t
 
 
@@ -237,32 +235,16 @@ def certify_transcript(t: GameTranscript, dirs=8, seed=0):
     Returns a list of {level, error, bound} dicts (error is the sampled sup).
     """
     g = t.limit
-    space = t.T.dom
-    cod = t.T.cod
-    Tm = [[as_fraction(v) for v in row] for row in t.T.matrix]
-    d = space.dim
-    U = _exact_unit_dirs(space, d, dirs, seed)
+    U = _exact_unit_dirs(t.T.dom, t.T.dom.dim, dirs, seed)
     out = []
     for rd in t.rounds:
-        if len(rd.gamma) == 0:
-            out.append({"level": rd.k, "error": 0.0, "bound": 1.0 / rd.k, "points": 0})
-            continue
-        alpha = rd.alpha
         worst = Fraction(0)
         for x in rd.gamma:
             xf = [as_fraction(float(v)) for v in x]
-            g0 = g.eval_exact(xf)
-            for u in U:
-                for rho in (alpha, alpha / 2):
-                    pt = [xi + rho * ui for xi, ui in zip(xf, u)]
-                    gv = g.eval_exact(pt)
-                    tv = [sum(row[i] * rho * u[i] for i in range(d)) for row in Tm]
-                    # divide by alpha before any float conversion: the raw
-                    # residual may sit far below float range
-                    rs = [(gv[i] - g0[i] - tv[i]) / alpha for i in range(len(gv))]
-                    nr = cod.norm_exact(rs) if cod.exact_capable else as_fraction(
-                        float(cod.norm(np.array([float(v) for v in rs]))))
-                    worst = max(worst, nr)
+            gx = g.eval_exact(xf)
+            for rho in (rd.alpha, rd.alpha / 2):
+                worst = max([worst] + exact_increment_residuals(
+                    g, xf, gx, [t.T], U, rho, rd.alpha))
         out.append({"level": rd.k, "error": float(worst), "bound": 1.0 / rd.k,
                     "points": len(rd.gamma)})
     return out

@@ -21,9 +21,6 @@ from .spaces import LinOp, NormedSpace
 @dataclass
 class Net:
     levels: list  # Gamma_k point arrays, k = 1..kmax
-    seps: list  # 2^{-k}
-    E: Region
-    Q: Region
 
     def level(self, k):
         return self.levels[k - 1]
@@ -98,7 +95,7 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net
             prev = levels[-1][gd >= 2.0 ** (-(k + 1))]
         else:
             prev = levels[-1]
-    return Net(levels, [2.0 ** (-k) for k in range(1, kmax + 1)], E, Q)
+    return Net(levels)
 
 
 def region_diameter(Q: Region, space: NormedSpace) -> float:

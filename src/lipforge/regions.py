@@ -39,6 +39,16 @@ class Region:
         """((lo, hi)) enclosing box or None if unbounded."""
         raise NotImplementedError
 
+    def segment_inside_length(self, P0, step):
+        """Length of [p, p + step] inside the region, per row of P0: the
+        share of 16 evenly spaced midpoints of the segment that it holds."""
+        P0 = np.atleast_2d(np.asarray(P0, dtype=float))
+        step = np.asarray(step, dtype=float)
+        total = np.zeros(len(P0))
+        for t in (np.arange(16) + 0.5) / 16.0:
+            total += self.contains(P0 + t * step)
+        return total / 16.0 * float(np.linalg.norm(step))
+
     def to_doc(self):
         return encode_fields(self, {"kind": self.kind})
 
@@ -378,7 +388,8 @@ class LatticeDP:
     smallest P-increment of an admissible step. Every edge raises P by at
     least w, so it leaves an earlier bin: all sources of a bin are final
     before the bin is swept, whatever the bin boundaries. A node takes the
-    first step, in step order, that attains its best value.
+    first step, in step order, that attains its best value, and keeps the
+    inside length of that incoming edge in in_len.
     """
 
     def __init__(self, G, spec: CurveSpec, bbox=None, pad=1):
@@ -407,13 +418,7 @@ class LatticeDP:
         if isinstance(self.G, BoxUnion):
             return self.G._pairs_inside_length(self.nodes, step,
                                                *self._box_pairs(step))
-        # sub-sampling fallback: 16 midpoints per edge
-        ts = (np.arange(16) + 0.5) / 16.0
-        slen = float(np.linalg.norm(step))
-        total = np.zeros(self.n)
-        for t in ts:
-            total += self.G.contains(self.nodes + t * step)
-        return total / 16.0 * slen
+        return self.G.segment_inside_length(self.nodes, step)
 
     def _box_pairs(self, step):
         """(node, box) index pairs whose edge [p, p + step] can meet the box.
@@ -452,6 +457,7 @@ class LatticeDP:
             elens[sidx] = self._edge_lengths(s)
         best = np.zeros(self.n)
         parent = np.full(self.n, -1, dtype=np.int64)
+        in_len = np.zeros(self.n)
         rows = np.arange(len(steps))[:, None]
         for a, b in zip(starts, ends):
             tgt = order[a:b]
@@ -464,13 +470,16 @@ class LatticeDP:
             cols = np.arange(len(tgt))
             top = cand[sidx, cols]
             upd = top > best[tgt]
+            chosen = src[sidx, cols][upd]
             best[tgt[upd]] = top[upd]
-            parent[tgt[upd]] = src[sidx, cols][upd] * len(steps) + sidx[upd]
+            parent[tgt[upd]] = chosen * len(steps) + sidx[upd]
+            in_len[tgt[upd]] = elens[sidx[upd], chosen]
         self.best = best
         self.parent = parent
-        self.pv = pv
+        self.in_len = in_len
 
-    def witness(self):
+    def path(self):
+        """Node indices of the witness curve, first node first."""
         cur = int(np.argmax(self.best))
         path = [cur]
         seen = set()
@@ -479,7 +488,10 @@ class LatticeDP:
             cur = int(self.parent[cur]) // len(self.spec.step_set)
             path.append(cur)
         path.reverse()
-        return self.nodes[path]
+        return np.array(path)
+
+    def witness(self):
+        return self.nodes[self.path()]
 
     def value(self):
         return float(np.max(self.best))
@@ -489,21 +501,17 @@ def xi_estimate(G, spec: CurveSpec, bbox=None):
     """(value, gap, witness path).  Lower-bound estimate over lattice curves."""
     dp = LatticeDP(G, spec, bbox=bbox)
     value = dp.value()
-    wit = dp.witness()
-    crossings = 0
-    for a, b in zip(wit[:-1], wit[1:]):
-        step = b - a
-        ln = dp.G.segment_inside_length(a[None], step)[0] if hasattr(
-            dp.G, "segment_inside_length") else None
-        if ln is None:
-            inside_a = bool(G.contains(a[None])[0])
-            inside_b = bool(G.contains(b[None])[0])
-            if inside_a != inside_b:
-                crossings += 1
-        else:
-            full = float(np.linalg.norm(step))
-            if 1e-12 < ln < full - 1e-12:
-                crossings += 1
+    path = dp.path()
+    wit = dp.nodes[path]
+    if isinstance(G, BoxUnion):
+        # an edge crosses the boundary when it lies partly inside the union
+        ln = dp.in_len[path[1:]]
+        full = np.linalg.norm(np.diff(wit, axis=0), axis=1)
+        crossings = int(np.count_nonzero((ln > 1e-12) & (ln < full - 1e-12)))
+    else:
+        # other regions: an edge crosses when its endpoints disagree
+        inside = G.contains(wit)
+        crossings = int(np.count_nonzero(inside[1:] != inside[:-1]))
     c = spec.k * np.sqrt(2.0) * max(1.0, spec.P.dual_norm)
     gap = dp.h * max(1, crossings) * c
     return value, float(gap), wit

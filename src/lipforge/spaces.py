@@ -268,10 +268,6 @@ class Functional:
         X = np.asarray(X, dtype=float)
         return X @ self.coeffs
 
-    def value_exact(self, x):
-        c = [Fraction(float(v)) for v in self.coeffs]
-        return sum(ci * xi for ci, xi in zip(c, x))
-
 
 def dual_norm(coeffs, space):
     """sup_{||x|| <= 1} <coeffs, x> with an attaining unit vector."""

@@ -283,12 +283,7 @@ def enumerate_steep_oracle(G: Region, cs: CurveSpec, bbox):
             if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny):
                 continue
             step = np.array(s, dtype=float) * h
-            if hasattr(G, "segment_inside_length"):
-                w = float(G.segment_inside_length(pos(ij)[None], step)[0])
-            else:
-                ts = (np.arange(16) + 0.5) / 16.0
-                w = float(np.mean([G.contains((pos(ij) + t * step)[None])[0]
-                                   for t in ts]) * np.linalg.norm(step))
+            w = float(G.segment_inside_length(pos(ij)[None], step)[0])
             res = max(res, w + best_from(nxt))
         return res
 
@@ -309,22 +304,13 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
     E, gated by a C1 plateau that is 1 on a neighborhood of E and 0 outside
     U.  Attributes on g: gap, parts (per-coordinate diagnostics), cyl_value.
     """
-    if theta <= 0:
-        raise InputError("theta must be positive")
-    d, l = T.dom.dim, T.cod.dim
-    if isinstance(E, EmptyRegion) or (isinstance(E, BoxUnion) and E.n_boxes == 0):
-        g = ZeroFn(d, l)
-        g.gap = 0.0
-        g.parts = []
-        return g, EmptyRegion(d)
-    if T.opnorm_ub == 0.0:
-        bbE = E.bbox()
-        loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
-        H = box_region(loE - 1e-3, hiE + 1e-3, open_=True)
-        g = ZeroFn(d, l)
-        g.gap = 0.0
-        g.parts = []
-        return g, H
+    if not (0.0 < theta < np.inf):
+        raise InputError("theta must be positive and finite")
+    d = T.dom.dim
+    if not _is_empty(E) and E.bbox() is None:
+        raise InputError("E must be bounded")
+    if T.opnorm_ub == 0.0 or _is_empty(E):
+        return _zero_pu_map(E, T)
 
     bbE = E.bbox()
     loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
@@ -339,7 +325,7 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         raise DomainError("E must lie strictly inside U")
 
     cval, ws, duals = cyl_constant(T, return_basis=True, seed=seed)
-    l = max(1, len(ws))
+    r = max(1, len(ws))
     # plateau: 1 on a box neighborhood K of E, 0 outside a larger box in U;
     # a wide ramp keeps the product-rule Lipschitz term small
     m1, m2 = room * 0.2, room * 0.9
@@ -360,12 +346,12 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         # the summability condition gives the formal cone parameter; the
         # achievable cone at finite cover depth is usually wider, so sweep
         # upward until both the cover and the sup-norm budget are met
-        rhs = theta / (4.0 * l * (1.0 + ti_norm) * (1.0 + w_norm))
+        rhs = theta / (4.0 * r * (1.0 + ti_norm) * (1.0 + w_norm))
         rhs_phi = rhs / (1.0 + plateau.lip_bound)
         eps_formal = min(0.45, rhs_phi / (1.0 + rhs_phi))
         sup_budget = theta * w_norm / sum(
             float(T.cod.norm(np.asarray(wj))) for wj in ws)
-        slope_budget = 0.75 * theta / l
+        slope_budget = 0.75 * theta / r
         chosen = None
         tried = []
         for eps_try in sorted({eps_formal, 0.05, 0.1, 0.15, 0.2, 0.3}):
@@ -416,16 +402,29 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
             "or deepen the cover; eps schedule: %r"
             % (cval + theta, lip_claim, [p["eps"] for p in parts]))
     if not terms:
-        g = ZeroFn(d, l)
-        g.gap = 0.0
-        g.parts = parts
-        return g, EmptyRegion(d)
+        return _zero_pu_map(E, T)
     g = SumFn(terms)
     g.gap = float(total_gap)
     g.parts = parts
     g.cyl_value = float(cval)
     H = H_list[0] if len(H_list) == 1 else Intersection(H_list)
     return g, H
+
+
+def _is_empty(E: Region):
+    return isinstance(E, EmptyRegion) or (isinstance(E, BoxUnion) and E.n_boxes == 0)
+
+
+def _zero_pu_map(E: Region, T: LinOp):
+    """(g, H) of a pu map with no steep term: g = 0 into T's codomain; H is
+    empty for an empty E and else the open box 1e-3 around E."""
+    g = ZeroFn(T.dom.dim, T.cod.dim)
+    g.gap = 0.0
+    g.parts = []
+    if _is_empty(E):
+        return g, EmptyRegion(T.dom.dim)
+    loE, hiE = (np.asarray(b, float) for b in E.bbox())
+    return g, box_region(loE - 1e-3, hiE + 1e-3, open_=True)
 
 
 def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
@@ -437,6 +436,8 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     U) and Lipschitz constant (4,000 nearby pairs), the support leak
     outside U, and the reported gap.
     """
+    if not n_points >= 1:
+        raise InputError("the certificate needs n_points >= 1")
     rng = np.random.default_rng(seed)
     d = T.dom.dim
     gap = getattr(g, "gap", 0.0)
@@ -562,9 +563,12 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     if not (C / theta <= k <= 2 * C / theta):
         k = int(np.floor(2 * C / theta))
 
+    def nothing():
+        return ZeroFn(d, l), PsiMap(phi, [], EmptyRegion(d), k), EmptyRegion(d)
+
     bbE = E.bbox()
     if bbE is None:
-        return ZeroFn(d, l), PsiMap(phi, [], EmptyRegion(d), k), EmptyRegion(d)
+        return nothing()
     loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
     band_lo, band_hi = loE - eta, hiE + eta  # psi must vanish off B(E, eta)
     bb = (band_lo, band_hi)
@@ -572,8 +576,7 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     # detect phi == 0 near E
     probe = np.random.default_rng(seed).uniform(band_lo, band_hi, (500, d))
     if float(np.max(np.abs(phi.eval(probe)))) == 0.0:
-        return (ZeroFn(d, l), PsiMap(phi, [], EmptyRegion(d), k),
-                EmptyRegion(d))
+        return nothing()
 
     # nested staircase regions from the level sets of phi, shrunk toward E
     H_levels = []
@@ -590,8 +593,7 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
         H_levels.append(BoxUnion(lo_i[ok], hi_i[ok], open_=True))
     G1 = _phi_level_boxes(phi, bb, 1.0 / (2.0 * k), n_side=n_side)
     if G1 is None:
-        return (ZeroFn(d, l), PsiMap(phi, [], EmptyRegion(d), k),
-                EmptyRegion(d))
+        return nothing()
     psi = PsiMap(phi, H_levels, G1, k)
 
     # f: a smoothed ramp realizing roughly psi * T near E: plateau * linear

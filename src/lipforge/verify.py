@@ -64,7 +64,8 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     ||f(x + r_j u) - f(x) - T(r_j u)|| / r_j.  The verdict for T holds iff
     min_j e_j(T) <= tol.  With exact=True the increments are evaluated in
     rational arithmetic (needed at microscopic scales).  Every scale must
-    be positive and finite, as a float or, with exact=True, as given.
+    be positive and finite, as a float or, with exact=True, as given; tol
+    must be finite and >= 0, and dirs >= 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     ops = list(ops)
@@ -73,6 +74,10 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     radii = list(scales) if exact else [float(s) for s in scales]
     if not radii or not all(0 < r < math.inf for r in radii):
         raise InputError("scales must be positive and finite, got %r" % (radii,))
+    if not 0 <= tol < math.inf:
+        raise InputError("tol must be finite and >= 0, got %r" % (tol,))
+    if not dirs >= 0:
+        raise InputError("dirs must be >= 0, got %r" % (dirs,))
     dom = ops[0].dom
     if Q is not None:
         db = float(Q.dist_to_boundary(x[None])[0])
@@ -88,20 +93,8 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
         Uf = [[as_fraction(v) for v in u] for u in U]
         for j, r in enumerate(scales):
             rf = as_fraction(r)
-            for a, T in enumerate(ops):
-                Tm = [[as_fraction(v) for v in row] for row in T.matrix]
-                worst = Fraction(0)
-                for u in Uf:
-                    pt = [xi + rf * ui for xi, ui in zip(xf, u)]
-                    fv = f.eval_exact(pt)
-                    tv = [sum(rw[i] * rf * u[i] for i in range(len(u))) for rw in Tm]
-                    # scale before any float conversion: raw residuals can
-                    # sit far below float range at microscopic scales
-                    rs = [(fv[i] - f0[i] - tv[i]) / rf for i in range(len(fv))]
-                    nr = (T.cod.norm_exact(rs) if T.cod.exact_capable
-                          else as_fraction(float(T.cod.norm(np.array([float(v) for v in rs])))))
-                    worst = max(worst, nr)
-                errors[a, j] = float(worst)
+            errors[:, j] = [float(e) for e in
+                            exact_increment_residuals(f, xf, f0, ops, Uf, rf, rf)]
     else:
         f0 = f(x)
         for j, r in enumerate(scales):
@@ -112,6 +105,30 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
                 resid = fv - f0[None, :] - r * (U @ T.matrix.T)
                 errors[a, j] = float(np.max(T.cod.norm(resid))) / r
     return DerivScanReport(x, [float(s) for s in scales], ops, errors, tol)
+
+
+def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rho, divisor):
+    """Per operator T of ops, max over u in dirs of
+    ||f(x + rho u) - f(x) - T(rho u)|| / divisor, in rationals.
+
+    x, fx = f(x) and the rows of dirs are lists of Fractions, rho and
+    divisor are Fractions; f is evaluated once per direction. Each residual
+    is divided before any float conversion, since it can sit far below
+    float range at microscopic scales; a codomain without an exact norm
+    takes the float norm of the divided residual.
+    """
+    mats = [[[as_fraction(v) for v in row] for row in T.matrix] for T in ops]
+    worst = [Fraction(0)] * len(ops)
+    for u in dirs:
+        y = [rho * ui for ui in u]
+        fy = f.eval_exact([xi + yi for xi, yi in zip(x, y)])
+        for a, (T, Tm) in enumerate(zip(ops, mats)):
+            rs = [(fy[i] - fx[i] - sum(t * yi for t, yi in zip(row, y))) / divisor
+                  for i, row in enumerate(Tm)]
+            nr = (T.cod.norm_exact(rs) if T.cod.exact_capable
+                  else as_fraction(float(T.cod.norm(np.array([float(v) for v in rs])))))
+            worst[a] = max(worst[a], nr)
+    return worst
 
 
 def lip_estimate(f: LipFn, Q, pairs=10000, seed=0, dom: NormedSpace = None,

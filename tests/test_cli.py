@@ -32,6 +32,8 @@ def files(tmp_path, l2_2):
     paths["op"] = str(tmp_path / "op.json")
     T = LinOp.build(np.array([[0.3, 0.0], [0.0, -0.2]]), l2_2, l2_2)
     dump_path(T.to_doc(), paths["op"])
+    paths["op0"] = str(tmp_path / "op0.json")
+    dump_path(LinOp.build(np.zeros((2, 2)), l2_2, l2_2).to_doc(), paths["op0"])
     # exact-arithmetic paths (game certificates) need an linf codomain
     linf = lp_space(2, "inf")
     paths["op_inf"] = str(tmp_path / "op_inf.json")
@@ -123,6 +125,26 @@ def test_game_outputs(files, tmp_path):
     with open(os.path.join(out, "levels.csv")) as fh:
         csv = fh.read().splitlines()
     assert csv[0] == "level,error,bound,points"
+
+
+def test_pumap_command(l2_2, tmp_path):
+    # the library's small pu-map instance, end to end through the CLI
+    E, U, op = (str(tmp_path / n) for n in ("E.json", "U.json", "op.json"))
+    dump_path(gen_four_corner(2).to_doc(), E)
+    dump_path(box_region([-2.0, -2.0], [3.0, 3.0], open_=True).to_doc(), U)
+    T = LinOp.build(np.array([[0.15, 0.0], [0.0, 0.0]]), l2_2, l2_2)
+    dump_path(T.to_doc(), op)
+    out = str(tmp_path / "pumap")
+    rc = run_cli(["pumap", "--set", E, "--u", U, "--op", op, "--theta", "0.25",
+                  "--budget", "2", "--points", "40", "--svg", "--out", out])
+    assert rc == 0
+    for name in ("g.json", "H.json", "certificate.json", "g.svg"):
+        assert os.path.isfile(os.path.join(out, name)), name
+    cert = load_path(os.path.join(out, "certificate.json"))
+    oks = [k for k in cert if k.endswith("_ok")]
+    assert sorted(oks) == ["fd_ok", "lip_ok", "sup_ok", "support_ok"]
+    assert all(cert[k] is True for k in oks), cert
+    assert cert["n_H_points"] == 40
 
 
 def test_smooth_command(files, tmp_path):
@@ -262,6 +284,19 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
     ["smooth", "--fn", "{dist}", "--set", "{E}", "--q", "{Q}", "--eps", "-1"],
     ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op}", "--theta", "0.3",
      "--budget", "-1"],
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op}", "--theta", "nan"],
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op}", "--theta", "inf"],
+    # the zero operator builds at once, so these reach the certificate
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op0}", "--theta", "0.3",
+     "--points", "0"],
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op0}", "--theta", "0.3",
+     "--points", "-5"],
+    ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
+     "--scales", "0.1", "--tol", "nan", "--require-pass"],
+    ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
+     "--scales", "0.1", "--tol", "-1"],
+    ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
+     "--scales", "0.1", "--dirs", "-1"],
 ])
 def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
@@ -273,14 +308,6 @@ def test_exit_code_resolution_error(files, tmp_path):
     rc = run_cli(["xi", "--region", files["Q"], "--p", "1,0",
                   "--alpha", "1.5", "--grid", "0.25"])
     assert rc == 2 or rc == 4
-
-
-def test_thread_cap_env_rejected(files, tmp_path):
-    env = dict(os.environ, LIPFORGE_THREADS="banana", PYTHONPATH=PKG_PARENT)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lipforge.cli", "cyl", "--op", files["op"]],
-        capture_output=True, env=env, text=True)
-    assert proc.returncode == 2
 
 
 def test_determinism_byte_identical(files, tmp_path):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lipforge.errors import DescriptorError
+from lipforge.fn import BlendFn, DistFn, LinearFn, OuterFn
 from lipforge.spaces import (Functional, LinOp, NormedSpace, OperatorFamily,
                              cyl_constant, dense_ball_sequence, lp_space,
                              op_norm, op_norm_upper)
@@ -33,6 +36,39 @@ def test_polyhedral_square_equals_linf(rng):
     X = rng.normal(size=(40, 2))
     want = np.max(np.abs(X), axis=1)
     assert np.allclose(np.asarray(sp.norm(X)), want, atol=1e-9)
+
+
+def test_exact_evaluators_match_float(rng):
+    hexagon = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+    spaces = [
+        lp_space(2, 1), lp_space(2, "inf"),
+        NormedSpace(2, {"kind": "weighted-lp", "p": 1, "weights": [2.0, 0.5]}),
+        NormedSpace(2, {"kind": "weighted-lp", "p": "inf", "weights": [2.0, 0.5]}),
+        NormedSpace(2, {"kind": "polyhedral", "vertices": hexagon}),
+    ]
+    X = rng.uniform(-2.0, 2.0, (60, 2))
+    Xf = [[Fraction(float(v)) for v in x] for x in X]
+    for sp in spaces:
+        assert sp.exact_capable, sp
+        exact = np.array([float(sp.norm_exact(x)) for x in Xf])
+        assert np.max(np.abs(exact - sp.norm(X))) <= 1e-12, sp
+        # the attaining direction is a unit vector that no sampled one beats
+        units = X / sp.norm(X)[:, None]
+        for c in rng.normal(size=(5, 2)):
+            P = Functional(c, sp)
+            assert float(sp.norm(P.attain_dir)) == pytest.approx(1.0, abs=1e-12)
+            assert float(P(P.attain_dir)) == pytest.approx(P.dual_norm, abs=1e-12)
+            assert np.max(units @ c) <= P.dual_norm + 1e-12
+        # the nodes that read the norm, on every branch of the blend
+        dist = DistFn(sp, [0.3, -0.2])
+        blend = BlendFn(0.5, 1.5, LinearFn([[0.4, -0.3]]), dist, sp)
+        outer = OuterFn(dist, [1.0, -0.5])
+        n = sp.norm(X)
+        assert (n <= 0.5).any() and (n >= 1.5).any() and ((n > 0.5) & (n < 1.5)).any()
+        for f in (dist, blend, outer):
+            assert f.exact_capable
+            got = np.array([[float(v) for v in f.eval_exact(x)] for x in Xf])
+            assert np.max(np.abs(got - f.eval(X))) <= 1e-12, (sp, f.tag)
 
 
 def test_polyhedral_norm_is_row_independent(rng):

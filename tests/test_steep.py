@@ -4,8 +4,9 @@ import pytest
 from lipforge import steep
 from lipforge.errors import HypothesisError, InputError
 from lipforge.fn import LinearFn, PlateauFn, ZeroFn
-from lipforge.regions import (BoxUnion, CurveSpec, EmptyRegion, LatticeDP,
-                              box_region, gen_four_corner)
+from lipforge.regions import (BallUnion, BoxUnion, Complement, CurveSpec,
+                              EmptyRegion, Intersection, LatticeDP, box_region,
+                              gen_four_corner)
 from lipforge.spaces import Functional, LinOp, NormedSpace, lp_space
 from lipforge.steep import (SteepSpec, bmgame_step_pu, build_psi_map,
                             build_pu_map, build_sequence, build_steep,
@@ -165,6 +166,22 @@ def test_dp_equals_exhaustive_oracle(l2_2, rng):
         value = LatticeDP(G, cs, bbox=bbox, pad=0).value()
         assert value == pytest.approx(enumerate_steep_oracle(G, cs, bbox),
                                       abs=1e-12), trial
+    # regions without an exact clip: both sides sample 16 edge midpoints
+    linf = lp_space(2, "inf")
+    for trial in range(6):
+        space = (l2_2, linf)[trial % 2]
+        G = BallUnion(rng8.uniform(0.1, 0.9, (int(rng8.integers(1, 4)), 2)),
+                      float(rng8.uniform(0.1, 0.35)), space)
+        if trial >= 2:
+            lo = rng8.uniform(0.0, 0.5, (2, 2))
+            G = Intersection([G, BoxUnion(lo, lo + 0.5, open_=bool(trial % 2))])
+        c = rng8.normal(size=2)
+        P = Functional(c / np.linalg.norm(c), l2_2)
+        cs = CurveSpec(P, float(rng8.uniform(0.1, 0.6)), 0.25, k=2)
+        value = LatticeDP(G, cs, bbox=bbox, pad=0).value()
+        assert value > 0.0, trial
+        assert value == pytest.approx(enumerate_steep_oracle(G, cs, bbox),
+                                      abs=1e-12), trial
 
 
 def test_steep_properties_within_gap(l2_2):
@@ -189,6 +206,10 @@ def test_pu_map_trivial_cases(l2_2):
                           LinOp.build(0.5 * np.eye(2), l2_2, l2_2), 0.2)
     assert isinstance(g2, ZeroFn)
     assert isinstance(H2, EmptyRegion)
+    # an unbounded E is rejected, whatever T is
+    for T in (T0, LinOp.build(0.5 * np.eye(2), l2_2, l2_2)):
+        with pytest.raises(InputError):
+            build_pu_map(Complement(E), U, T, 0.2)
 
 
 def test_pu_map_small_instance(l2_2):
@@ -201,6 +222,21 @@ def test_pu_map_small_instance(l2_2):
     assert cert["sup_ok"] and cert["support_ok"] and cert["fd_ok"]
     assert cert["lip_ok"], cert
     assert cert["gap"] < 0.1
+
+
+def test_pu_map_numerically_zero_operator(l2_2):
+    # every coordinate is dropped as numerically zero: g must still map into
+    # the 2-d codomain and H must hold E, so the certificate has points
+    E = gen_four_corner(1)
+    U = box_region([-1.0, -1.0], [2.0, 2.0], open_=True)
+    T = LinOp.build(1e-15 * np.eye(2), l2_2, l2_2)
+    g, H = build_pu_map(E, U, T, 0.3)
+    assert isinstance(g, ZeroFn) and g.l == 2
+    corners = np.vstack([E.lo, E.hi, (E.lo + E.hi) / 2.0])
+    assert H.contains(corners).all()
+    cert = pu_map_certificate(g, H, U, T, 0.3, n_points=40)
+    assert cert["n_H_points"] == 40
+    assert all(v for k, v in cert.items() if k.endswith("_ok")), cert
 
 
 def test_psi_map_sandwich_and_equality(l2_2, rng):
