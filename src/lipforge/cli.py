@@ -15,13 +15,13 @@ from . import gridfile, svg
 from .errors import (BudgetError, ConstructionError, CoverError,
                      HypothesisError, InputError, LipforgeError, PremiseError,
                      RefereeError, ResolutionError)
-from .fn import LipFn, fn_from_file_doc, fn_to_file_doc
+from .fn import fn_from_file_doc, fn_to_file_doc
 from .game import POLICIES, certify_transcript, run_bm_game
 from .prescribe import build_net, prescribe_derivative
 from .regions import Region, gen_four_corner
-from .serialize import dump_path, dumps, enc_float, load_path
+from .serialize import dump_path, enc_float, load_path
 from .smooth import smooth_around
-from .spaces import Functional, LinOp, NormedSpace, cyl_constant, lp_space
+from .spaces import Functional, LinOp, cyl_constant, lp_space
 from .steep import (SteepSpec, build_pu_map, build_steep,
                     check_steep_properties, pu_map_certificate)
 from .verify import c1_check, lip_estimate, scan_derivative_set
@@ -153,11 +153,10 @@ def cmd_steep(args):
     cert["gap"] = enc_float(getattr(g, "gap", 0.0))
     _write_json(os.path.join(out, "certificate.json"), cert)
     bad = [n for n, c in cert.items() if isinstance(c, dict) and not c["ok"]]
-    if args.svg and G.bbox() is not None:
-        lo, hi = G.bbox()
+    if args.svg:
+        lo, hi = G.bounds("G")
         pad = 4 * args.grid
-        _maybe_heatmap(os.path.join(out, "g.svg"), g,
-                       (np.asarray(lo) - pad, np.asarray(hi) + pad),
+        _maybe_heatmap(os.path.join(out, "g.svg"), g, (lo - pad, hi + pad),
                        title="steep function")
     for name, c in sorted(cert.items()):
         if isinstance(c, dict):
@@ -172,11 +171,11 @@ def cmd_pumap(args):
     T = _load_op(args.op)
     g, H = build_pu_map(E, U, T, args.theta, cover_budget=args.budget,
                         seed=args.seed)
+    cert = pu_map_certificate(g, H, U, T, args.theta, n_points=args.points,
+                              seed=args.seed)
     out = _outdir(args)
     _write_fn(os.path.join(out, "g.json"), g)
     _write_json(os.path.join(out, "H.json"), H.to_doc())
-    cert = pu_map_certificate(g, H, U, T, args.theta, n_points=args.points,
-                              seed=args.seed)
     doc = {k: (enc_float(v) if isinstance(v, float) else v)
            for k, v in cert.items()}
     _write_json(os.path.join(out, "certificate.json"), doc)
@@ -184,10 +183,9 @@ def cmd_pumap(args):
     for k in sorted(cert):
         print("%-14s %s" % (k, cert[k]))
     if args.svg:
-        bb = E.bbox()
+        lo, hi = E.bounds("E")
         pad = 0.2
-        _maybe_heatmap(os.path.join(out, "g.svg"), g,
-                       (np.asarray(bb[0]) - pad, np.asarray(bb[1]) + pad),
+        _maybe_heatmap(os.path.join(out, "g.svg"), g, (lo - pad, hi + pad),
                        title="pu derivative map")
     return EXIT_OK if ok else EXIT_CERT
 
@@ -261,11 +259,11 @@ def cmd_smooth(args):
     out = _outdir(args)
     _write_fn(os.path.join(out, "g.json"), g)
     rng = np.random.default_rng(args.seed)
-    bb = g.smooth_region.bbox()
-    pts = rng.uniform(bb[0], bb[1], (30, f.d))
+    lo, hi = g.smooth_region.bounds("smooth region")
+    pts = rng.uniform(lo, hi, (30, f.d))
     keep = g.smooth_region.contains(pts)
     passed, worst, _ = c1_check(g, g.smooth_region, pts[keep])
-    X = rng.uniform(np.asarray(Q.bbox()[0]), np.asarray(Q.bbox()[1]), (20000, f.d))
+    X = rng.uniform(*Q.bounds("Q"), (20000, f.d))
     dev = float(np.max(np.abs(g.eval(X) - f.eval(X))))
     cert = {"c1_pass": bool(passed), "c1_worst": enc_float(worst),
             "sup_deviation": enc_float(dev), "eps": enc_float(args.eps)}

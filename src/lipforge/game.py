@@ -25,7 +25,7 @@ from .verify import exact_increment_residuals
 
 
 def _space_bound_on(Q: Region, space: NormedSpace) -> Fraction:
-    lo, hi = Q.bbox()
+    lo, hi = Q.bounds("Q")
     corners = np.where(cube_corners(len(lo)) > 0, hi, lo)
     return as_fraction(float(np.max(space.norm(corners))))
 

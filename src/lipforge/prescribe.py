@@ -26,11 +26,8 @@ class Net:
         return self.levels[k - 1]
 
 
-def _candidate_points(E, Q, step):
-    bb = E.bbox()
-    if bb is None:
-        raise DomainError("net construction needs a bounded set")
-    lo, hi = bb
+def _candidate_points(E, step):
+    lo, hi = E.bounds("E")
     axes = [np.arange(lo[i], hi[i] + step * 0.5, step) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -55,12 +52,9 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net
     """
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    bbE = E.bbox()
-    if bbE is not None:
-        inside = Q.contains(np.vstack([bbE[0][None], bbE[1][None]]))
-        if not bool(inside.all()):
-            raise DomainError("E must lie inside the interior of Q")
-    pts = _candidate_points(E, Q, 2.0 ** (-kmax) / 4.0)
+    if not bool(Q.contains(np.vstack(E.bounds("E"))).all()):
+        raise DomainError("E must lie inside the interior of Q")
+    pts = _candidate_points(E, 2.0 ** (-kmax) / 4.0)
     if len(pts):
         qdist = Q.dist_to_boundary(pts)
     else:
@@ -99,11 +93,8 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net
 
 
 def region_diameter(Q: Region, space: NormedSpace) -> float:
-    bb = Q.bbox()
-    if bb is None:
-        raise DomainError("unbounded domain")
-    lo, hi = bb
-    return float(space.norm(np.asarray(hi) - np.asarray(lo)))
+    lo, hi = Q.bounds("Q")
+    return float(space.norm(hi - lo))
 
 
 def prescription_params(r, s, diam) -> tuple:

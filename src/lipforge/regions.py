@@ -39,6 +39,14 @@ class Region:
         """((lo, hi)) enclosing box or None if unbounded."""
         raise NotImplementedError
 
+    def bounds(self, name):
+        """bbox() as float arrays (lo, hi) for a construction that needs a
+        bounded region; name is the region's name in the error."""
+        bb = self.bbox()
+        if bb is None:
+            raise InputError("%s must be bounded" % name)
+        return np.asarray(bb[0], dtype=float), np.asarray(bb[1], dtype=float)
+
     def segment_inside_length(self, P0, step):
         """Length of [p, p + step] inside the region, per row of P0: the
         share of 16 evenly spaced midpoints of the segment that it holds."""
@@ -312,6 +320,17 @@ def box_region(lo, hi, open_=False):
     return BoxUnion([lo], [hi], open_=open_)
 
 
+def room_inside(E, Q, name):
+    """(loE, hiE, room): E's bounds and the least gap between E's bounding
+    box and Q's, over both faces of every axis; Q is named in the error."""
+    loE, hiE = E.bounds("E")
+    loQ, hiQ = Q.bounds(name)
+    room = float(min(np.min(loE - loQ), np.min(hiQ - hiE)))
+    if room <= 0:
+        raise DomainError("E must lie strictly inside %s" % name)
+    return loE, hiE, room
+
+
 def gen_four_corner(level, ratio=0.25):
     """IFS iterate of the four corner contractions; level 0 is the unit square."""
     if level < 0:
@@ -395,10 +414,7 @@ class LatticeDP:
     def __init__(self, G, spec: CurveSpec, bbox=None, pad=1):
         self.G = G
         self.spec = spec
-        bb = bbox if bbox is not None else G.bbox()
-        if bb is None:
-            raise DomainError("region must be bounded for the curve estimator")
-        lo, hi = np.asarray(bb[0], dtype=float), np.asarray(bb[1], dtype=float)
+        lo, hi = G.bounds("G") if bbox is None else np.asarray(bbox, dtype=float)
         h = spec.h
         self.h = h
         self.lo = lo - pad * h

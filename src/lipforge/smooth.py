@@ -15,9 +15,9 @@ import numpy as np
 from .errors import (BudgetError, CoverError, DomainError, InputError,
                      PremiseError, ResolutionError)
 from .fn import (BoxBumpFn, ConstFn, ConvexShiftCombFn, LipFn, NormalizedBumpFn,
-                 PlateauFn, ProductFn, RadialBumpFn, SumFn, VecScaleFn, bump,
-                 register)
-from .regions import BallUnion, BoxUnion, Region, box_region
+                 PlateauFn, ProductFn, RadialBumpFn, RegionSwitchFn, SumFn,
+                 VecScaleFn, bump, register)
+from .regions import BallUnion, BoxUnion, Region, box_region, room_inside
 from .spaces import LinOp
 from .verify import dyadic_radius, fd_jacobian
 
@@ -123,10 +123,7 @@ def _bump_for(region: Region):
 
 
 def _sample_lattice(V: Region):
-    bb = V.bbox()
-    if bb is None:
-        raise DomainError("need a bounded region to sample")
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = V.bounds("V")
     axes = [np.linspace(lo[i], hi[i], 40) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -135,8 +132,7 @@ def _sample_lattice(V: Region):
 
 
 def _sampled_lip(f: LipFn, region: Region, seed=0):
-    bb = region.bbox()
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = region.bounds("cover element")
     rng = np.random.default_rng(seed)
     X = rng.uniform(lo, hi, (400, len(lo)))
     Y = X + rng.uniform(-1, 1, X.shape) * (hi - lo) * 0.05
@@ -171,30 +167,24 @@ def compact_selection(cover, V: Region, E: Region):
     E inside the open box U, whose closure sits inside V and inside every
     one of the first K cover elements, and every later element's bump
     multiplied by a cutoff vanishing on U."""
-    bbE = E.bbox()
-    if bbE is None:
-        raise DomainError("compact selection needs a bounded E")
-    loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
+    loE, hiE = E.bounds("E")
+    loV, hiV = V.bounds("V")
     # order cover so elements whose interior contains the E box come first
-    front, back = [], []
+    front, back, front_boxes = [], [], []
     for c in cover:
-        bb = c.bbox()
-        lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+        lo, hi = c.bounds("cover element")
         if np.all(lo < loE) and np.all(hi > hiE):
             front.append(c)
+            front_boxes.append((lo, hi))
         else:
             back.append(c)
     if not front:
         raise CoverError("no cover element contains a neighborhood of E")
     ordered = front + back
     K = len(front)
-    # U: open box strictly between the E box and the tightest front element
-    lo_t = np.max([np.asarray(c.bbox()[0], float) for c in front], axis=0)
-    hi_t = np.min([np.asarray(c.bbox()[1], float) for c in front], axis=0)
-    bbV = V.bbox()
-    if bbV is not None:
-        lo_t = np.maximum(lo_t, np.asarray(bbV[0], float))
-        hi_t = np.minimum(hi_t, np.asarray(bbV[1], float))
+    # U: open box strictly between the E box, V and the tightest front element
+    lo_t = np.maximum(np.max([lo for lo, _ in front_boxes], axis=0), loV)
+    hi_t = np.minimum(np.min([hi for _, hi in front_boxes], axis=0), hiV)
     lo_u = loE - (loE - lo_t) / 2.0
     hi_u = hiE + (hi_t - hiE) / 2.0
     if np.any(lo_u >= loE) or np.any(hi_u <= hiE):
@@ -226,7 +216,8 @@ def compact_selection(cover, V: Region, E: Region):
 
 def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
                  theta=None, seed=0) -> LipFn:
-    """h~ = sum_k phi_k h_k + (1 - sum_k phi_k) h on U, exactly h off U.
+    """h~ = sum_k phi_k h_k + (1 - sum_k phi_k) h on the region U, exactly h
+    off U, as a RegionSwitchFn; U is required.
 
     Requires the local-approximation premise ||h_k - h|| <= theta_k on the
     k-th support (sampled at 200 points), and the budget
@@ -241,8 +232,7 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
                               % (budget, theta))
     rng = np.random.default_rng(seed)
     for k, (hk, sup, tk) in enumerate(zip(h_ks, pou.supports, theta_ks)):
-        bb = sup.bbox()
-        lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+        lo, hi = sup.bounds("support")
         pts = rng.uniform(lo, hi, (200, len(lo)))
         resid = np.max(np.abs(hk.eval(pts) - h.eval(pts)), axis=1)
         if np.max(resid) > tk + 1e-9:
@@ -259,19 +249,7 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
     if h.lip_bound is not None and all(v is not None for v in lips_k):
         t_tot = float(sum(theta_ks)) if theta is None else float(theta)
         lip = max(h.lip_bound, t_tot + max(lips_k, default=0.0))
-    out = inside if _region_is_everything(U) else _switch(U, inside, h, lip)
-    out.lip_bound = lip
-    return out
-
-
-def _region_is_everything(U):
-    return U is None
-
-
-def _switch(U, inside, outside, lip):
-    from .fn import RegionSwitchFn
-
-    return RegionSwitchFn(U, inside, outside, lip_bound=lip)
+    return RegionSwitchFn(U, inside, h, lip_bound=lip)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +275,7 @@ def c1_replace(g: LipFn, V: Region, psi, T: LinOp, xi, theta,
             U_xi = V
         else:
             raise InputError("need U_xi when xi is a field")
-    bb = U_xi.bbox()
-    if bb is None:
-        raise DomainError("replacement region must be bounded")
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = U_xi.bounds("U_xi")
     margin = 0.125 * float(np.min(hi - lo))
     if margin <= 0:
         return g
@@ -345,18 +320,7 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
         raise InputError("eps must be positive and finite")
     d = f.d
     lip_f = f.lip_bound if f.lip_bound is not None else 1.0
-    bbE = E.bbox()
-    if bbE is None:
-        raise DomainError("E must be bounded")
-    loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
-    bbQ = Q.bbox()
-    if bbQ is not None:
-        loQ, hiQ = np.asarray(bbQ[0], float), np.asarray(bbQ[1], float)
-        room = float(min(np.min(loE - loQ), np.min(hiQ - hiE)))
-    else:
-        room = float("inf")
-    if room <= 0:
-        raise DomainError("E must lie strictly inside Q")
+    loE, hiE, room = room_inside(E, Q, "Q")
     rho = min(room / 2.0, 0.25)
     if d == 1:
         dirs = [np.array([1.0])]
@@ -415,10 +379,7 @@ def uniform_diff_radius(g: LipFn, E: Region, theta, seed=0):
     """
     if theta <= 0:
         raise InputError("theta must be positive")
-    bb = E.bbox()
-    if bb is None:
-        raise DomainError("E must be bounded")
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = E.bounds("E")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, (20, len(lo)))
     keep = E.contains(pts)

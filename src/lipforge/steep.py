@@ -15,16 +15,17 @@ slope along v_P is ||P||, transversal increments are O(alpha ||P||) and
 0 <= g <= ||P|| * (curve-mass estimate).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstructionError, DomainError, HypothesisError,
-                     InputError, ResolutionError)
+from .errors import (ConstructionError, HypothesisError, InputError,
+                     ResolutionError)
 from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, OuterFn, PlateauFn,
                  ProductFn, SumFn, VecScaleFn, ZeroFn)
 from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
-                      LatticeDP, Region, box_region, pu_cover, xi_estimate)
+                      LatticeDP, Region, box_region, pu_cover, room_inside,
+                      xi_estimate)
 from .smooth import MollifierSpec, mollify
 from .spaces import Functional, LinOp, cyl_constant, op_norm_upper
 from .verify import dyadic_radius, fd_jacobian
@@ -67,9 +68,10 @@ class SteepSpec:
 def build_steep(spec: SteepSpec) -> LipFn:
     """Grid approximation of the steep function for (G, P, alpha).
 
-    Returns a scalar LipFn with attributes: gap (total reported
-    discretization gap), xi_value / xi_gap (curve-mass estimate of G),
-    v_P, spec, and lip_claim (the lemma's Lipschitz bound).
+    Returns a scalar LipFn with attributes gap (total reported
+    discretization gap) and xi_value / xi_gap (curve-mass estimate of G);
+    the ZeroFn of a trivial case (||P|| = 0, an empty or zero-area G)
+    carries only gap.
 
     The terminal-ray max takes a sliding-window max along the lattice
     (_ray_max_axis) when v_P is exactly +-e_k and s_res is the default h/2.
@@ -80,22 +82,17 @@ def build_steep(spec: SteepSpec) -> LipFn:
     """
     P = spec.P
     pn = P.dual_norm
-    bb = spec.G.bbox()
-    if pn == 0.0 or isinstance(spec.G, EmptyRegion) or bb is None or (
+    lo_g, hi_g = spec.G.bounds("G")
+    if pn == 0.0 or isinstance(spec.G, EmptyRegion) or (
             isinstance(spec.G, BoxUnion) and spec.G.area() == 0.0):
         g = ZeroFn(P.space.dim, 1)
         g.gap = 0.0
-        g.xi_value, g.xi_gap = 0.0, 0.0
-        g.v_P = P.attain_dir
-        g.spec = spec
-        g.lip_claim = 0.0
         return g
     if P.space.dim != 2:
         raise InputError("grid steep construction supports d = 2")
 
     v = np.asarray(P.attain_dir, dtype=float)
     h = spec.h
-    lo_g, hi_g = np.asarray(bb[0], float), np.asarray(bb[1], float)
     pad = spec.out_pad
     out_lo, out_hi = lo_g - pad, hi_g + pad
 
@@ -129,9 +126,6 @@ def build_steep(spec: SteepSpec) -> LipFn:
     g = GridFn2D(out_lo, h, vals, lip_bound=None)
     g.gap = float(pn * gap_raw)
     g.xi_value, g.xi_gap = float(xi_val), float(xi_gap)
-    g.v_P = v
-    g.spec = spec
-    g.lip_claim = float((1.0 + 2.0 * spec.alpha / (1.0 - spec.alpha)) * pn)
     return g
 
 
@@ -193,18 +187,18 @@ def _ray_max_axis(best_fn, out_lo, shape, v, s_grid):
 def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     """Sampled residuals of the steep-function properties, each reported as
     (worst residual, allowed bound).  Negative or zero residual slack means
-    the property holds within the reported gap."""
+    the property holds within the reported gap; the ZeroFn of a trivial
+    case gets the single entry zero."""
     rng = np.random.default_rng(seed)
+    gap = getattr(g, "gap", 0.0)
+    if isinstance(g, ZeroFn):
+        return {"zero": (0.0, gap)}
     P = spec.P
     pn = P.dual_norm
-    gap = getattr(g, "gap", 0.0)
-    bb = spec.G.bbox()
-    if bb is None or pn == 0.0:
-        return {"zero": (0.0, gap)}
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = spec.G.bounds("G")
     span = hi - lo
     X = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, (n, 2))
-    v = g.v_P
+    v = np.asarray(P.attain_dir, dtype=float)
     out = {}
 
     gv = g.eval(X)[:, 0]
@@ -241,7 +235,8 @@ def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     dn = P.space.norm(X - Y)
     ok = dn > 1e-9
     ratios = np.abs(g.eval(Y[ok])[:, 0] - gv[ok]) / dn[ok]
-    out["iv-lip"] = (float(np.max(ratios) - g.lip_claim), gap)
+    lip_claim = (1.0 + 2.0 * spec.alpha / (1.0 - spec.alpha)) * pn
+    out["iv-lip"] = (float(np.max(ratios) - lip_claim), gap)
 
     # (iii): lambda decomposition for sampled (x, w)
     W = rng.uniform(-0.5, 0.5, (n, 2)) * span
@@ -307,22 +302,9 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
     if not (0.0 < theta < np.inf):
         raise InputError("theta must be positive and finite")
     d = T.dom.dim
-    if not _is_empty(E) and E.bbox() is None:
-        raise InputError("E must be bounded")
     if T.opnorm_ub == 0.0 or _is_empty(E):
         return _zero_pu_map(E, T)
-
-    bbE = E.bbox()
-    loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
-    bbU = U.bbox()
-    if bbU is not None:
-        loU, hiU = np.asarray(bbU[0], float), np.asarray(bbU[1], float)
-        room = float(min(np.min(loE - loU), np.min(hiU - hiE)))
-    else:
-        loU, hiU = loE - 0.5, hiE + 0.5
-        room = 0.5
-    if room <= 0:
-        raise DomainError("E must lie strictly inside U")
+    loE, hiE, room = room_inside(E, U, "U")
 
     cval, ws, duals = cyl_constant(T, return_basis=True, seed=seed)
     r = max(1, len(ws))
@@ -371,7 +353,8 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         eps_i, G_i, xi_val, xi_gap, met, level = chosen
         side = float(G_i.hi[0, 0] - G_i.lo[0, 0])
         h_i = h if h is not None else min(side / 12.0, 1.0 / 256.0)
-        s = build_steep(SteepSpec(G_i, P, min(max(eps_i, 1e-4), 0.9), h_i))
+        spec = SteepSpec(G_i, P, min(max(eps_i, 1e-4), 0.9), h_i)
+        s = build_steep(spec)
         vmax = float(np.max(s.values)) if isinstance(s, GridFn2D) else 0.0
         c_i = vmax / 2.0
         centered = SumFn([s, ConstFn([-c_i], d)], [1.0, 1.0])
@@ -379,7 +362,7 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         terms.append(OuterFn(gated, np.asarray(w, dtype=float).ravel()))
         total_sup += w_norm * vmax / 2.0
         # discretization part only: the cone slope is budgeted under theta
-        total_gap += w_norm * ti_norm * (2.0 * h_i * (1 + s.spec.k) + s.spec.s_res)
+        total_gap += w_norm * ti_norm * (2.0 * h_i * (1 + spec.k) + spec.s_res)
         shrink = side / 12.0  # half the inflation margin: keeps E inside
         H_list.append(BoxUnion(G_i.lo + shrink, G_i.hi - shrink, open_=True))
         parts.append({
@@ -417,14 +400,17 @@ def _is_empty(E: Region):
 
 def _zero_pu_map(E: Region, T: LinOp):
     """(g, H) of a pu map with no steep term: g = 0 into T's codomain; H is
-    empty for an empty E and else the open box 1e-3 around E."""
+    empty for an empty E and else the open box 1e-3 around E, which must be
+    bounded."""
+    if _is_empty(E):
+        H = EmptyRegion(T.dom.dim)
+    else:
+        loE, hiE = E.bounds("E")
+        H = box_region(loE - 1e-3, hiE + 1e-3, open_=True)
     g = ZeroFn(T.dom.dim, T.cod.dim)
     g.gap = 0.0
     g.parts = []
-    if _is_empty(E):
-        return g, EmptyRegion(T.dom.dim)
-    loE, hiE = (np.asarray(b, float) for b in E.bbox())
-    return g, box_region(loE - 1e-3, hiE + 1e-3, open_=True)
+    return g, H
 
 
 def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
@@ -442,12 +428,11 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     d = T.dom.dim
     gap = getattr(g, "gap", 0.0)
     out = {"gap": float(gap)}
-    bbH = H.bbox() if not isinstance(H, EmptyRegion) else None
     grid_h = max((p["grid_h"] for p in getattr(g, "parts", [])), default=1e-3)
     if fd_step is None:
         fd_step = 2.0 * grid_h
     worst_fd = 0.0
-    if bbH is not None:
+    if not isinstance(H, EmptyRegion):
         # sample box-wise when H is (an intersection of) box unions, so tiny
         # deep-cover boxes still receive their share of test points
         boxes = H
@@ -458,7 +443,7 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
             raw = np.concatenate([rng.uniform(lo_b, hi_b, (per, d))
                                   for lo_b, hi_b in zip(boxes.lo, boxes.hi)])
         else:
-            lo, hi = np.asarray(bbH[0], float), np.asarray(bbH[1], float)
+            lo, hi = H.bounds("H")
             raw = rng.uniform(lo, hi, (20 * n_points, d))
         keep = H.contains(raw) & (H.dist_to_boundary(raw) > fd_step * 1.5)
         pts = raw[keep][:n_points]
@@ -468,8 +453,7 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     out["fd_residual"] = float(worst_fd)
     out["fd_ok"] = bool(worst_fd <= theta + gap + 1e-9)
 
-    bbU = U.bbox()
-    lo, hi = np.asarray(bbU[0], float), np.asarray(bbU[1], float)
+    lo, hi = U.bounds("U")
     X = rng.uniform(lo - 0.2, hi + 0.2, (20000, d))
     vals = g.eval(X)
     out["sup_norm"] = float(np.max(T.cod.norm(vals)))
@@ -524,8 +508,9 @@ class PsiMap:
 
 
 def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side=48):
-    """Open box union over lattice cells where phi >= thresh."""
-    lo, hi = np.asarray(bbox[0], float), np.asarray(bbox[1], float)
+    """Open box union over lattice cells where phi >= thresh; bbox is a
+    pair of float arrays (lo, hi)."""
+    lo, hi = bbox
     xs = np.linspace(lo[0], hi[0], n_side)
     ys = np.linspace(lo[1], hi[1], n_side)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
@@ -548,6 +533,7 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     """
     if not (0.0 < eta < 1.0 + 1e-12):
         raise InputError("eta must lie in (0, 1]")
+    loE, hiE = E.bounds("E")
     d, l = T.dom.dim, T.cod.dim
     if T.opnorm_ub > 1.0:
         f1, psi, H = build_psi_map(E, eta, phi,
@@ -566,10 +552,6 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     def nothing():
         return ZeroFn(d, l), PsiMap(phi, [], EmptyRegion(d), k), EmptyRegion(d)
 
-    bbE = E.bbox()
-    if bbE is None:
-        return nothing()
-    loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
     band_lo, band_hi = loE - eta, hiE + eta  # psi must vanish off B(E, eta)
     bb = (band_lo, band_hi)
 
@@ -601,8 +583,7 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     if depth == 0:
         return ZeroFn(d, l), psi, EmptyRegion(d)
     H_core = H_levels[min(depth, max(1, k - 2)) - 1]
-    bbc = H_core.bbox()
-    loC, hiC = np.asarray(bbc[0], float), np.asarray(bbc[1], float)
+    loC, hiC = H_core.bounds("H")
     ramp_lo = np.maximum(band_lo, loC - eta * 0.4)
     ramp_hi = np.minimum(band_hi, hiC + eta * 0.4)
     plateau = PlateauFn(ramp_lo, ramp_hi, loC, hiC)
@@ -635,10 +616,9 @@ def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule, seed=0):
         gj, psij, Hj = build_psi_map(E, eta_j, phij, Tj, n_side=24, seed=seed + j)
         if not isinstance(gj, ZeroFn):
             # rescale the perturbation into the theta_j sup-norm budget
-            bb = E.bbox()
-            lo = np.asarray(bb[0], float) - 1.0
-            hi = np.asarray(bb[1], float) + 1.0
-            probe = np.random.default_rng(seed + 100 + j).uniform(lo, hi, (2000, f0.d))
+            lo, hi = E.bounds("E")
+            probe = np.random.default_rng(seed + 100 + j).uniform(
+                lo - 1.0, hi + 1.0, (2000, f0.d))
             sup = float(np.max(np.abs(gj.eval(probe))))
             scale = 1.0 if sup <= thetaj else thetaj / (sup * (1.0 + 1e-9))
             fj = SumFn([f_prev, gj], [1.0, scale])
@@ -669,15 +649,7 @@ def bmgame_step_pu(E: Region, H: Region, Q: Region, theta, f: LipFn, T: LinOp,
     if lip_f is None or lip_f >= 1.0:
         raise HypothesisError("need a certified Lip(f) < 1")
     zeta = min((1.0 - max(lip_f, T.opnorm_ub)) / 3.0, theta / 4.0)
-    bbE = E.bbox()
-    if bbE is None:
-        raise DomainError("E must be bounded")
-    loE, hiE = np.asarray(bbE[0], float), np.asarray(bbE[1], float)
-    bbQ = Q.bbox()
-    loQ, hiQ = np.asarray(bbQ[0], float), np.asarray(bbQ[1], float)
-    room = float(min(np.min(loE - loQ), np.min(hiQ - hiE)))
-    if room <= 0:
-        raise DomainError("E must lie strictly inside Q")
+    loE, hiE, room = room_inside(E, Q, "Q")
     U = box_region(loE - room * 0.9, hiE + room * 0.9, open_=True)
 
     x0 = (loE + hiE) / 2.0
@@ -709,7 +681,7 @@ def slope_radius(g: LipFn, E: Region, T: LinOp, theta, seed=0):
     """
     rng = np.random.default_rng(seed)
     pts = E.lo + (E.hi - E.lo) / 2.0 if isinstance(E, BoxUnion) else \
-        np.asarray(E.bbox(), float).mean(axis=0)[None]
+        np.mean(E.bounds("E"), axis=0)[None]
     pts = np.atleast_2d(pts)
     if len(pts) > 40:
         pts = pts[rng.choice(len(pts), 40, replace=False)]

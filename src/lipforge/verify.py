@@ -4,14 +4,14 @@ finite-difference smoothness checks.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, InputError
 from .fn import LipFn, as_fraction
-from .spaces import LinOp, NormedSpace
+from .spaces import NormedSpace
 
 
 @dataclass
@@ -136,10 +136,7 @@ def lip_estimate(f: LipFn, Q, pairs=10000, seed=0, dom: NormedSpace = None,
     """(max sampled ratio, witness pair): a lower bound on Lip(f) over Q."""
     if pairs < 1:
         raise InputError("pairs must be >= 1")
-    bb = Q.bbox()
-    if bb is None:
-        raise DomainError("need a bounded sampling region")
-    lo, hi = np.asarray(bb[0], float), np.asarray(bb[1], float)
+    lo, hi = Q.bounds("Q")
     d = len(lo)
     rng = np.random.default_rng(seed)
     n_rand = pairs // 2

@@ -14,7 +14,7 @@ from lipforge import gridfile, svg
 from lipforge.colormap import TABLE
 from lipforge.cli import run_cli
 from lipforge.fn import DistFn, LinearFn, fn_to_file_doc
-from lipforge.regions import box_region, gen_four_corner
+from lipforge.regions import Complement, EmptyRegion, box_region, gen_four_corner
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
@@ -301,6 +301,46 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
 def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
     assert run_cli(argv) == 2
+
+
+# every region flag given an unbounded region: each construction needs a
+# bounded one, so the run exits 2 before it makes its output directory
+@pytest.mark.parametrize("argv", [
+    ["xi", "--region", "{C}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25"],
+    ["steep", "--region", "{C}", "--p", "1,0", "--alpha", "0.4",
+     "--grid", "0.25"],
+    ["pumap", "--set", "{C}", "--u", "{Q}", "--op", "{op}", "--theta", "0.3"],
+    ["pumap", "--set", "{E}", "--u", "{C}", "--op", "{op}", "--theta", "0.3"],
+    # the zero operator builds without U, so this reaches the certificate
+    ["pumap", "--set", "{E}", "--u", "{C}", "--op", "{op0}", "--theta", "0.3"],
+    ["prescribe", "--q", "{C}", "--set", "{E}", "--op", "{op}", "--r", "0.4",
+     "--s", "0.05", "--kmax", "1"],
+    ["prescribe", "--q", "{Q}", "--set", "{C}", "--op", "{op}", "--r", "0.4",
+     "--s", "0.05", "--kmax", "1"],
+    ["game", "--set", "{C}", "--q", "{Q}", "--op", "{op_inf}", "--rounds", "2"],
+    ["game", "--set", "{E}", "--q", "{C}", "--op", "{op_inf}", "--rounds", "2"],
+    ["smooth", "--fn", "{dist}", "--set", "{C}", "--q", "{Q}", "--eps", "0.1"],
+    ["smooth", "--fn", "{dist}", "--set", "{E}", "--q", "{C}", "--eps", "0.1"],
+])
+def test_exit_code_unbounded_region(files, tmp_path, argv):
+    C = str(tmp_path / "C.json")
+    dump_path(Complement(box_region([5.0, 5.0], [6.0, 6.0])).to_doc(), C)
+    out = tmp_path / "o"
+    argv = [a.format(C=C, **files) for a in argv] + ["--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+
+
+def test_steep_empty_region_zero_certificate(tmp_path):
+    G = str(tmp_path / "G.json")
+    dump_path(EmptyRegion(2).to_doc(), G)
+    out = tmp_path / "steep"
+    rc = run_cli(["steep", "--region", G, "--p", "1,0", "--alpha", "0.3",
+                  "--grid", "0.2", "--svg", "--out", str(out)])
+    assert rc == 0
+    cert = load_path(str(out / "certificate.json"))
+    assert sorted(cert) == ["gap", "zero"]
+    assert cert["zero"]["ok"] is True
 
 
 def test_exit_code_resolution_error(files, tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipforge.errors import InputError
+from lipforge.errors import DomainError, InputError
 from lipforge.regions import (BoxUnion, Complement, CurveSpec, EmptyRegion,
                               Intersection, LatticeDP, Region, UnionRegion,
                               box_region, four_corner_squares,
-                              gen_four_corner, pu_cover, xi_estimate)
+                              gen_four_corner, pu_cover, room_inside,
+                              xi_estimate)
 from lipforge.spaces import Functional, lp_space
 
 
@@ -157,6 +158,25 @@ def test_dist_to_boundary_matches_per_box_oracle(boxes, repeats, open_, points):
     inside, dist = _per_box_oracle(lo, hi, open_, X)
     assert np.array_equal(G.contains(X), inside)
     assert np.array_equal(G.dist_to_boundary(X), dist)
+
+
+def test_bounds_and_room_inside():
+    E = box_region([0, 0], [1, 2])
+    lo, hi = E.bounds("E")
+    assert lo.dtype == float and list(lo) == [0.0, 0.0] and list(hi) == [1.0, 2.0]
+    C = Complement(E)
+    with pytest.raises(InputError, match="^U must be bounded$"):
+        C.bounds("U")
+    Q = box_region([-1.0, -0.5], [3.0, 2.25])
+    loE, hiE, room = room_inside(E, Q, "Q")
+    assert room == 0.25 and list(hiE) == [1.0, 2.0]
+    with pytest.raises(InputError, match="Q must be bounded"):
+        room_inside(E, C, "Q")
+    with pytest.raises(InputError, match="E must be bounded"):
+        room_inside(C, Q, "Q")
+    for touching in (box_region([0, -1], [3, 3]), box_region([-1, -1], [1, 3])):
+        with pytest.raises(DomainError, match="strictly inside Q"):
+            room_inside(E, touching, "Q")
 
 
 def test_four_corner_counts_and_area():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipforge.errors import BudgetError, CoverError, PremiseError
-from lipforge.fn import ConstFn, DistFn, LinearFn, LipFn, ZeroFn
+from lipforge.fn import ConstFn, DistFn, LinearFn, LipFn, RegionSwitchFn, ZeroFn
 from lipforge.regions import box_region, gen_four_corner
 from lipforge.smooth import (MollifierSpec, build_pou, c1_replace,
                              compact_selection, mollify, sla_assemble,
@@ -150,6 +150,27 @@ def test_c1_replace_zero_multiplier_returns_input(l2_2):
     T = LinOp.build(np.array([[0.5, 0.0]]), l2_2, lp_space(1, 2))
     out = c1_replace(g, V, None, T, 0.0, 0.1)
     assert out is g
+
+
+def test_c1_replace_smooths_inside_v(l2_2):
+    # xi > 0: g is mollified and blended back to itself inside V
+    g = DistFn(l2_2, np.array([0.5, 0.5]))
+    V = box_region([0.0, 0.0], [1.0, 1.0], open_=True)
+    T = LinOp.build(np.array([[1.0, 0.0]]), l2_2, lp_space(1, 2))
+    theta = 0.1
+    out = c1_replace(g, V, None, T, 1.0, theta)
+    assert isinstance(out, RegionSwitchFn)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-0.5, 1.5, (4000, 2))
+    assert float(np.max(np.abs(out.eval(X) - g.eval(X)))) <= theta
+    off = X[~V.contains(X)]
+    assert np.array_equal(out.eval(off), g.eval(off))
+    ok, worst, _ = c1_check(out, V, rng.uniform(0.2, 0.8, (10, 2)))
+    assert ok, worst
+    # at the kink of g, steps below the mollifier radius see a C1 map
+    kink = np.array([[0.5, 0.5]])
+    assert c1_check(out, V, kink, steps=(1e-5, 5e-6))[0]
+    assert not c1_check(g, V, kink, steps=(1e-5, 5e-6))[0]
 
 
 def test_smooth_around_certificates(l2_2, rng):

@@ -315,6 +315,20 @@ def test_bmgame_step_hypothesis_errors(l2_2):
         bmgame_step_pu(E, H, Q, 0.3, steep_f, ok_T)
 
 
+def test_unbounded_region_rejected(l2_2):
+    E = gen_four_corner(1)
+    C = Complement(box_region([5.0, 5.0], [6.0, 6.0]))
+    T = LinOp.build(0.3 * np.eye(2), l2_2, l2_2)
+    f = LinearFn(0.2 * np.eye(2), lip_bound=0.2)
+    with pytest.raises(InputError, match="Q must be bounded"):
+        bmgame_step_pu(E, E, C, 0.3, f, T)
+    phi = PlateauFn([-0.6, -0.6], [1.6, 1.6], [-0.3, -0.3], [1.3, 1.3])
+    with pytest.raises(InputError, match="E must be bounded"):
+        build_psi_map(C, 0.5, phi, T)
+    with pytest.raises(InputError, match="G must be bounded"):
+        build_steep(SteepSpec(C, Functional([1.0, 0.0], l2_2), 0.3, 0.1))
+
+
 def test_bmgame_step_linear_multiple(l2_2):
     # f = c T with c in (0,1): the correction restores T near E
     E = gen_four_corner(2)
