@@ -2,7 +2,9 @@
 
 The distance function x -> ||x - p|| has a kink at p.  smooth_around
 replaces it near a compact set E by a C^1 function that stays uniformly
-close and does not increase the Lipschitz constant beyond eps.
+close and does not increase the Lipschitz constant beyond eps.  c1_check
+compares finite-difference Jacobians at two step sizes, at points sampled
+inside g.smooth_region.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ print("sup |g - f| =", float(np.max(np.abs(g.eval(X) - f.eval(X)))),
 bb = g.smooth_region.bbox()
 pts = rng.uniform(bb[0], bb[1], (60, 2))
 pts = pts[g.smooth_region.contains(pts)][:20]
-ok, worst, _ = c1_check(g, g.smooth_region, pts)
+ok, worst, _ = c1_check(g, pts)
 print("C1 check on the smoothed region:", ok, "(worst residual %.3e)" % worst)
 
 est, _ = lip_estimate(g, Q, pairs=20000, dom=space, cod=lp_space(1, 2))

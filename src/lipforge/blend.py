@@ -18,6 +18,12 @@ from .spaces import NormedSpace
 
 @dataclass
 class BlendSpec:
+    """The blend of f1 and f2 across the shell a < ||x|| < b, built as fn.
+
+    BlendFn checks 0 < a < b and that f1 and f2 share domain and codomain;
+    a piece with nonzero value at 0 is shifted by that constant first.
+    """
+
     a: float
     b: float
     f1: LipFn
@@ -25,42 +31,20 @@ class BlendSpec:
     lip1: float
     lip2: float
     space: NormedSpace
-    _blend: BlendFn = field(default=None, repr=False)
+    fn: BlendFn = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.a < self.b):
-            raise InputError("need 0 < a < b")
         if self.lip1 < 0 or self.lip2 < 0 or self.lip1 + self.lip2 > 1.0 + 1e-12:
             raise InputError("need lip1, lip2 >= 0 with lip1 + lip2 <= 1")
-        if self.f1.d != self.f2.d or self.f1.l != self.f2.l:
-            raise InputError("f1 and f2 must share domain and codomain")
-        zero = np.zeros(self.f1.d)
-        self.f1 = self._anchor(self.f1, zero, "f1")
-        self.f2 = self._anchor(self.f2, zero, "f2")
-        self._blend = BlendFn(self.a, self.b, self.f1, self.f2, self.space,
-                              lip1=self.lip1, lip2=self.lip2)
+        self.f1 = self._anchor(self.f1, "f1")
+        self.f2 = self._anchor(self.f2, "f2")
+        self.fn = BlendFn(self.a, self.b, self.f1, self.f2, self.space,
+                          lip1=self.lip1, lip2=self.lip2)
 
     @staticmethod
-    def _anchor(f, zero, name):
-        v = f(zero)
+    def _anchor(f, name):
+        v = f(np.zeros(f.d))
         if np.max(np.abs(v)) <= 1e-12:
             return f
         warnings.warn("%s(0) != 0; subtracting the constant %r" % (name, v))
         return SumFn([f, ConstFn(v, f.d)], [1.0, -1.0])
-
-    @property
-    def fn(self) -> BlendFn:
-        return self._blend
-
-    @property
-    def lip_bound(self) -> float:
-        return 1.0 + self.a / (self.b - self.a)
-
-
-def build_blend(spec: BlendSpec) -> BlendFn:
-    return spec.fn
-
-
-def eval_blend(spec: BlendSpec, x):
-    """Evaluate the blend at one point or a batch of points."""
-    return spec.fn(x)

@@ -92,8 +92,8 @@ def _write_fn(path, fn):
     _write_json(path, fn_to_file_doc(fn))
 
 
-def _maybe_heatmap(path, fn, bbox, res=128, title=""):
-    vals, bb = sample_fn(fn, bbox, res)
+def _maybe_heatmap(path, fn, bbox, title):
+    vals, bb = sample_fn(fn, bbox, 128)
     field = np.linalg.norm(vals, axis=2) if fn.l > 1 else vals[:, :, 0]
     svg.write_heatmap(path, field, bb, title=title)
 
@@ -155,9 +155,8 @@ def cmd_steep(args):
     bad = [n for n, c in cert.items() if isinstance(c, dict) and not c["ok"]]
     if args.svg:
         lo, hi = G.bounds("G")
-        pad = 4 * args.grid
-        _maybe_heatmap(os.path.join(out, "g.svg"), g, (lo - pad, hi + pad),
-                       title="steep function")
+        _maybe_heatmap(os.path.join(out, "g.svg"), g,
+                       (lo - spec.out_pad, hi + spec.out_pad), "steep function")
     for name, c in sorted(cert.items()):
         if isinstance(c, dict):
             print("%-18s residual %s bound %s %s"
@@ -186,7 +185,7 @@ def cmd_pumap(args):
         lo, hi = E.bounds("E")
         pad = 0.2
         _maybe_heatmap(os.path.join(out, "g.svg"), g, (lo - pad, hi + pad),
-                       title="pu derivative map")
+                       "pu derivative map")
     return EXIT_OK if ok else EXIT_CERT
 
 
@@ -262,7 +261,7 @@ def cmd_smooth(args):
     lo, hi = g.smooth_region.bounds("smooth region")
     pts = rng.uniform(lo, hi, (30, f.d))
     keep = g.smooth_region.contains(pts)
-    passed, worst, _ = c1_check(g, g.smooth_region, pts[keep])
+    passed, worst, _ = c1_check(g, pts[keep])
     X = rng.uniform(*Q.bounds("Q"), (20000, f.d))
     dev = float(np.max(np.abs(g.eval(X) - f.eval(X))))
     cert = {"c1_pass": bool(passed), "c1_worst": enc_float(worst),
@@ -326,10 +325,9 @@ def build_parser():
     p = argparse.ArgumentParser(prog="lipforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_dir=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        if out_dir:
-            sp.add_argument("--out", required=True)
+        sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("cantor", help="four-corner set region file")
     sp.add_argument("--level", type=int, required=True)

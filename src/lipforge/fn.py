@@ -54,10 +54,6 @@ class LipFn:
             return self.eval(X.reshape(1, -1))[0]
         return self.eval(X)
 
-    @property
-    def exact_capable(self):
-        return False
-
     def eval_exact(self, x):
         raise ExactEvalUnsupported("node %s has no exact evaluation" % self.tag)
 
@@ -98,10 +94,6 @@ class ZeroFn(LipFn):
     def eval(self, X):
         return np.zeros((len(X), self.l))
 
-    @property
-    def exact_capable(self):
-        return True
-
     def eval_exact(self, x):
         return [Fraction(0)] * self.l
 
@@ -119,10 +111,6 @@ class ConstFn(LipFn):
 
     def eval(self, X):
         return np.tile(self.vec, (len(X), 1))
-
-    @property
-    def exact_capable(self):
-        return True
 
     def eval_exact(self, x):
         return [as_fraction(v) for v in self.vec]
@@ -143,10 +131,6 @@ class LinearFn(LipFn):
 
     def eval(self, X):
         return X @ self.matrix.T
-
-    @property
-    def exact_capable(self):
-        return True
 
     def eval_exact(self, x):
         rows = [[as_fraction(v) for v in r] for r in self.matrix]
@@ -180,10 +164,6 @@ class SumFn(LipFn):
             out = out + c * t.eval(X)
         return out
 
-    @property
-    def exact_capable(self):
-        return all(t.exact_capable for t in self.terms)
-
     def eval_exact(self, x):
         acc = [Fraction(0)] * self.l
         for c, t in zip(self.coeffs, self.terms):
@@ -211,10 +191,6 @@ class DistFn(LipFn):
     def eval(self, X):
         return (self.space.norm(X - self.center) - self.offset).reshape(-1, 1)
 
-    @property
-    def exact_capable(self):
-        return self.space.exact_capable
-
     def eval_exact(self, x):
         c = [as_fraction(v) for v in self.center]
         w = [xi - ci for xi, ci in zip(x, c)]
@@ -239,10 +215,6 @@ class OuterFn(LipFn):
 
     def eval(self, X):
         return self.scalar.eval(X) * self.w[None, :]
-
-    @property
-    def exact_capable(self):
-        return self.scalar.exact_capable
 
     def eval_exact(self, x):
         s = self.scalar.eval_exact(x)[0]
@@ -306,11 +278,6 @@ class BlendFn(LipFn):
             w2 = self.b * (nm - self.a) / (nm * (self.b - self.a))
             out[mm] = w1[:, None] * self.f1.eval(X[mm]) + w2[:, None] * self.f2.eval(X[mm])
         return out
-
-    @property
-    def exact_capable(self):
-        return (self.space.exact_capable and self.f1.exact_capable
-                and self.f2.exact_capable)
 
     def eval_exact(self, x):
         n = self.space.norm_exact(x)
@@ -392,10 +359,6 @@ class LocalAffineSurgeryFn(LipFn):
                     vals[mC] = fxi + sub[mC] @ self.T_f.T
                 out[m] = vals
         return self.scale_f * out
-
-    @property
-    def exact_capable(self):
-        return self.space.exact_capable and self.f.exact_capable
 
     def eval_exact(self, x):
         s, b, a = self.s, self.beta, self.alpha

@@ -47,30 +47,11 @@ class GameTranscript:
     T: LinOp
     net: Net
     policy_name: str
-    limit_bound: Fraction = None  # analytic sup bound of the limit over Q
+    limit_bound: Fraction  # analytic sup bound of the limit over Q
 
     @property
     def limit(self) -> LipFn:
         return self.rounds[-1].g
-
-    def witness_counts(self):
-        """For each final-level net point, in how many levels' tube unions
-        it lies (a net point of level k is the center of its own s_k-ball,
-        hence lies in the tube union of every level >= its entry level)."""
-        K = len(self.rounds)
-        gamma_K = self.rounds[-1].gamma
-        counts = np.zeros(len(gamma_K), dtype=int)
-        for i, p in enumerate(gamma_K):
-            for rd in self.rounds:
-                if len(rd.gamma) and np.min(np.max(np.abs(rd.gamma - p), axis=1)) < 1e-12:
-                    counts[i] += 1
-        return gamma_K, counts
-
-    def select_witnesses(self):
-        """Final-level net points in the tube unions of at least half the
-        levels."""
-        pts, counts = self.witness_counts()
-        return pts[counts >= (len(self.rounds) + 1) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +62,10 @@ class GameTranscript:
 class PolicyBase:
     """Adversary interface: open() the game, then move() each round.
 
-    move returns (f, r, delta) where delta is an analytic upper bound on
-    sup ||f - g_prev|| over Q; the referee requires delta + r <= s_prev.
+    move(g_prev, s_prev, g_bound) gets Player II's last center, its radius
+    and an analytic sup bound of the center over Q, and returns (f, r,
+    delta) where delta is an analytic upper bound on sup ||f - g_prev||
+    over Q; the referee requires delta + r <= s_prev.
     """
 
     name = "base"
@@ -97,7 +80,7 @@ class PolicyBase:
     def open(self, d, l):
         return ZeroFn(d, l), Fraction(1, 2), Fraction(0)
 
-    def move(self, k, g_prev, s_prev, g_bound):
+    def move(self, g_prev, s_prev, g_bound):
         raise NotImplementedError
 
 
@@ -106,7 +89,7 @@ class IdentityPolicy(PolicyBase):
 
     name = "identity"
 
-    def move(self, k, g_prev, s_prev, g_bound):
+    def move(self, g_prev, s_prev, g_bound):
         return g_prev, s_prev / 2, Fraction(0)
 
 
@@ -115,7 +98,7 @@ class RandomPolicy(PolicyBase):
 
     name = "seeded-random"
 
-    def move(self, k, g_prev, s_prev, g_bound):
+    def move(self, g_prev, s_prev, g_bound):
         d, l = g_prev.d, g_prev.l
         M = self.rng.uniform(-0.5, 0.5, (l, d))
         R = LinOp.build(M, self.dom, self.cod)
@@ -136,7 +119,7 @@ class SpoilerPolicy(PolicyBase):
 
     name = "spoiler"
 
-    def move(self, k, g_prev, s_prev, g_bound):
+    def move(self, g_prev, s_prev, g_bound):
         l = g_prev.l
         e1 = np.zeros(l)
         e1[0] = 1.0
@@ -184,9 +167,9 @@ def run_bm_game(E: Region, Q: Region, T: LinOp, playerI: PolicyBase, K: int,
             else:
                 f_k, r_k, delta = playerI.open(space.dim, T.cod.dim)
         else:
-            f_k, r_k, delta = playerI.move(k, g_prev, s_prev, g_bound)
+            f_k, r_k, delta = playerI.move(g_prev, s_prev, g_bound)
             if delta + r_k > s_prev:
-                f_k, r_k, delta = playerI.move(k, g_prev, s_prev, g_bound)
+                f_k, r_k, delta = playerI.move(g_prev, s_prev, g_bound)
                 if delta + r_k > s_prev:
                     raise RefereeError("adversary ball not inside previous ball")
         f_bound = g_bound + delta
@@ -199,18 +182,16 @@ def run_bm_game(E: Region, Q: Region, T: LinOp, playerI: PolicyBase, K: int,
             s_sep = Fraction(1, 4 * 2 ** k)
             g_k, _ = prescribe_derivative(f_k, T, r_k / 2, gamma_k, s_sep, Q,
                                           check_geometry=(k == 1))
-            alpha_k = g_k.alpha_exact
+            alpha_k = g_k.alpha
         s_k = min(alpha_k / (8 * k), r_k / 4)
         rounds.append(Round(k, f_k, r_k, g_k, s_k, alpha_k, gamma_k))
         g_prev, s_prev = g_k, s_k
         g_bound = f_bound + r_k / 2
 
-    t = GameTranscript(rounds, T, net, playerI.name)
-    t.limit_bound = g_bound
-    return t
+    return GameTranscript(rounds, T, net, playerI.name, g_bound)
 
 
-def _exact_unit_dirs(space: NormedSpace, d, n, seed=0):
+def _exact_unit_dirs(space: NormedSpace, d, n, seed):
     rng = np.random.default_rng(seed)
     dirs = []
     for i in range(d):

@@ -42,11 +42,11 @@ def _candidate_points(E, step):
     return pts[keep]
 
 
-def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net:
+def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace) -> Net:
     """Nested maximal 2^{-k}-separated subsets of E_k, k = 1..kmax.
 
     E_k keeps the points of E at distance >= 2^{-k} from the boundary of Q.
-    Separation is measured in `space` (sup norm by default).  Selection is
+    Separation is measured in the norm of `space`.  Selection is
     greedy over a deterministic lattice sample of E of step 2^{-kmax} / 4,
     seeded with the previous level so the levels are nested.
     """
@@ -60,11 +60,6 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net
     else:
         qdist = np.zeros(0)
 
-    def dist(a, B):
-        if space is None:
-            return np.max(np.abs(B - a), axis=1)
-        return space.norm(B - a)
-
     levels = []
     prev = np.zeros((0, pts.shape[1] if len(pts) else E.dim))
     for k in range(1, kmax + 1):
@@ -77,7 +72,7 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace = None) -> Net
             if not chosen:
                 chosen.append(p)
                 continue
-            if np.min(dist(p, np.array(chosen))) >= sep:
+            if np.min(space.norm(np.array(chosen) - p)) >= sep:
                 chosen.append(p)
         # drop inherited points that fell out of E_k? nesting requires keeping
         # them; the construction only seeds level k with points that satisfy
@@ -136,5 +131,4 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
     beta, alpha = prescription_params(r, s, diam)
     g = LocalAffineSurgeryFn(f, gamma, as_fraction(s), beta, alpha, L.matrix,
                              space, lip_bound=1.0)
-    g.alpha_exact = alpha
     return g, float(alpha)

@@ -137,13 +137,15 @@ class BoxUnion(Region):
         return np.abs(signed.min(axis=1))
 
     def bbox(self):
+        """The hull of the boxes; for no boxes, the point at the origin,
+        as for EmptyRegion."""
+        if self.n_boxes == 0:
+            lo = np.zeros(self.dim)
+            return lo, lo
         return self.lo.min(axis=0), self.hi.max(axis=0)
 
     def area(self):
         return float(np.sum(np.prod(self.hi - self.lo, axis=1)))
-
-    def inflate(self, margin, open_=True):
-        return BoxUnion(self.lo - margin, self.hi + margin, open_=open_, meta=self.meta)
 
     def segment_inside_length(self, P0, step):
         """Vectorized length of [p, p+step] inside the union, per row of P0.
@@ -537,7 +539,7 @@ def pu_cover(E, P: Functional, eps, budget=6):
     """Open box-union cover of an IFS-type compact E with small curve mass.
 
     Sweeps IFS levels m = 0..budget, covering the level-m squares that meet
-    E by open boxes inflated by a quarter of their side on every face, until
+    E by open boxes grown by a quarter of their side on every face, until
     the lattice estimate of the curve mass (cone parameter eps clipped to
     [1e-6, 0.99], k = 3, grid step max(side / 6, 1/96)) is <= eps + gap.
     Returns (G, achieved, gap, met_flag, m).

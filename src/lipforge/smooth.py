@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BudgetError, CoverError, DomainError, InputError,
-                     PremiseError, ResolutionError)
+from .errors import (BudgetError, CoverError, InputError, PremiseError,
+                     ResolutionError)
 from .fn import (BoxBumpFn, ConstFn, ConvexShiftCombFn, LipFn, NormalizedBumpFn,
                  PlateauFn, ProductFn, RadialBumpFn, RegionSwitchFn, SumFn,
-                 VecScaleFn, bump, register)
+                 VecScaleFn, bump)
 from .regions import BallUnion, BoxUnion, Region, box_region, room_inside
-from .spaces import LinOp
 from .verify import dyadic_radius, fd_jacobian
 
 
@@ -66,26 +65,6 @@ class MollifierSpec:
         self.weights = raw / total
 
 
-@register
-class MollifiedFn(ConvexShiftCombFn):
-    """Convex shift combination with an optional evaluation domain guard."""
-
-    tag = "mollified"
-    fields = ConvexShiftCombFn.fields + (("domain", "domain", "region?"),)
-
-    def __init__(self, base, shifts, weights, domain=None):
-        super().__init__(base, shifts, weights)
-        self.domain = domain
-
-    def eval(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.domain is not None:
-            ok = self.domain.contains(np.atleast_2d(X))
-            if not bool(ok.all()):
-                raise DomainError("mollified function evaluated outside its domain")
-        return super().eval(X)
-
-
 def mollify(g: LipFn, spec: MollifierSpec) -> LipFn:
     """g * rho_eps as a quadrature-convolution node.
 
@@ -94,7 +73,7 @@ def mollify(g: LipFn, spec: MollifierSpec) -> LipFn:
     """
     if spec.dim != g.d:
         raise InputError("mollifier dimension mismatch")
-    return MollifiedFn(g, spec.nodes, spec.weights)
+    return ConvexShiftCombFn(g, spec.nodes, spec.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +87,6 @@ class PartitionOfUnity:
     supports: list        # Regions containing the supports
     lips: list            # sampled Lipschitz estimates per element
     M: int                # sampled local-finiteness bound
-
-    def sum_at(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sum([p.eval(X)[:, 0] for p in self.phis], axis=0)
 
 
 def _bump_for(region: Region):
@@ -131,7 +106,7 @@ def _sample_lattice(V: Region):
     return pts[keep]
 
 
-def _sampled_lip(f: LipFn, region: Region, seed=0):
+def _sampled_lip(f: LipFn, region: Region, seed):
     lo, hi = region.bounds("cover element")
     rng = np.random.default_rng(seed)
     X = rng.uniform(lo, hi, (400, len(lo)))
@@ -257,14 +232,15 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
 # ---------------------------------------------------------------------------
 
 
-def c1_replace(g: LipFn, V: Region, psi, T: LinOp, xi, theta,
-               U_xi: Region = None) -> LipFn:
+def c1_replace(g: LipFn, V: Region, xi, theta, U_xi: Region = None) -> LipFn:
     """Replace g by a function smooth where xi > 0, equal to g elsewhere.
 
     xi is a scalar field (LipFn or constant); U_xi is the open region
     {xi > 0} (derived from V when omitted and xi is a positive constant).
-    psi and T are carried through for the caller's derivative certificate;
-    the replacement itself only needs the support geometry and theta.
+    The replacement needs only that support geometry and theta: g is
+    mollified at radius theta / (2 (1 + Lip phi)(Lip g + 1)), Lip g taken
+    as 1 when g has no bound, and assembled back with a plateau phi on the
+    bounding box of U_xi.
     """
     if theta <= 0:
         raise InputError("theta must be positive")

@@ -11,7 +11,7 @@ each exactly as if it came alone.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +32,12 @@ def _as_matrix(rows):
     return m
 
 
-def _dedupe_rows(m, tol=1e-12):
+def _dedupe_rows(m):
+    """The rows of m, each dropped that lies within 1e-12 (max norm) of one
+    kept before it."""
     out = []
     for row in m:
-        if not any(np.max(np.abs(row - r)) <= tol for r in out):
+        if not any(np.max(np.abs(row - r)) <= 1e-12 for r in out):
             out.append(row)
     return np.array(out)
 
@@ -82,15 +84,17 @@ class NormedSpace:
             if v.shape[1] != self.dim:
                 raise DescriptorError("vertex dimension mismatch")
             v = _dedupe_rows(np.vstack([v, -v]))
-            self._vertices = v
-            self._functionals = self._facets_from_vertices(v)
+            self._functionals, extreme = self._facets_from_vertices(v)
+            # generators inside the ball are dropped: a tiny one would blow
+            # up the 1 / norm scale of _unit_ball_points
+            self._vertices = v[extreme]
         elif "functionals" in descriptor:
             a = _as_matrix(descriptor["functionals"])
             if a.shape[1] != self.dim:
                 raise DescriptorError("functional dimension mismatch")
             a = _dedupe_rows(np.vstack([a, -a]))
             self._functionals = a
-            self._vertices = self._facets_from_vertices(a)  # polar duality
+            self._vertices = self._facets_from_vertices(a)[0]  # polar duality
         else:
             raise DescriptorError("polyhedral descriptor needs vertices or functionals")
         if np.linalg.matrix_rank(self._vertices, tol=1e-12) < self.dim:
@@ -100,13 +104,15 @@ class NormedSpace:
 
     @staticmethod
     def _facets_from_vertices(v):
-        """Rows a_j with conv(v) = {x : a_j . x <= 1}; v symmetric, spans R^d."""
+        """(rows a_j with conv(v) = {x : a_j . x <= 1}, sorted indices of the
+        rows of v that are extreme points of conv(v)); v symmetric, spans R^d."""
         d = v.shape[1]
         if d == 1:
             vmax = np.max(np.abs(v))
             if vmax <= 0:
                 raise DescriptorError("degenerate 1-d polytope")
-            return np.array([[1.0 / vmax], [-1.0 / vmax]])
+            return (np.array([[1.0 / vmax], [-1.0 / vmax]]),
+                    np.flatnonzero(np.abs(v[:, 0]) == vmax))
         from scipy.spatial import ConvexHull, QhullError
 
         try:
@@ -120,7 +126,7 @@ class NormedSpace:
             if b >= -1e-14:
                 raise DescriptorError("polytope does not contain 0 in its interior")
             rows.append(a / (-b))
-        return _dedupe_rows(np.array(rows))
+        return _dedupe_rows(np.array(rows)), np.sort(hull.vertices)
 
     def _canonical_descriptor(self):
         if self.kind == "lp":
@@ -208,7 +214,7 @@ class NormedSpace:
     def unit_ball_vertices(self):
         """Extreme points of the unit ball, or None if not enumerable."""
         if self.kind == "polyhedral":
-            return self._vertices[np.any(self._vertices != 0.0, axis=1)]
+            return self._vertices
         d, p = self.dim, self._p
         if p == 1:
             verts = np.vstack([np.eye(d), -np.eye(d)])
@@ -316,9 +322,9 @@ class LinOp:
     matrix: np.ndarray
     dom: NormedSpace
     cod: NormedSpace
-    opnorm_lb: float = field(default=0.0)
-    opnorm_ub: float = field(default=0.0)
-    witness: np.ndarray = field(default=None)
+    opnorm_lb: float
+    opnorm_ub: float
+    witness: np.ndarray
 
     @classmethod
     def build(cls, matrix, dom, cod):
@@ -401,9 +407,9 @@ def op_norm_upper(matrix, dom, cod):
     return float(ub[0]) if single else ub
 
 
-def _ascent_lower_bound(T, dom, cod, seed=0):
+def _ascent_lower_bound(T, dom, cod):
     d = dom.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.eye(d)[i] for i in range(d)]
     try:
         _, _, vt = np.linalg.svd(T)
@@ -506,8 +512,11 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
     w*_i is  x -> sum_{i<=j} w*_i(T x) w_i.  The full sum (j = r) is T
     itself, so the reported value never drops below the certified lower
     bound on ||T||.  Returns the searched value (an upper bound on the true
-    minimum) and optionally the basis and duals.
+    minimum) and optionally the basis and duals.  budget, the number of
+    seeded random bases tried beside the identity, must be >= 0.
     """
+    if not budget >= 0:
+        raise InputError("budget must be >= 0, got %r" % (budget,))
     M = T.matrix
     u, s, vt = np.linalg.svd(M)
     r = int(np.sum(s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
@@ -529,7 +538,7 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
 
     rng = np.random.default_rng(seed)
     candidates = [np.eye(r)]
-    for _ in range(max(0, int(budget))):
+    for _ in range(int(budget)):
         B = rng.standard_normal((r, r))
         B /= np.linalg.norm(B, axis=0, keepdims=True)
         candidates.append(B)

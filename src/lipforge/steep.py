@@ -15,7 +15,7 @@ slope along v_P is ||P||, transversal increments are O(alpha ||P||) and
 0 <= g <= ||P|| * (curve-mass estimate).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,27 +38,26 @@ from .verify import dyadic_radius, fd_jacobian
 
 @dataclass
 class SteepSpec:
+    """The steep function of G for the functional P and cone parameter
+    alpha, on a grid of step h.  The terminal-ray samples are h/2 apart
+    (s_res) and the output grid extends 4h beyond the bounding box of G
+    (out_pad); both follow from h."""
+
     G: Region
     P: Functional
     alpha: float
     h: float
-    s_res: float = None    # resolution of the terminal-ray scan
     k: int = 3             # lattice step range of the curve class
-    out_pad: float = None  # padding of the output grid beyond bbox(G)
+    s_res: float = field(init=False)
+    out_pad: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InputError("alpha must lie in (0, 1)")
         if not (0.0 < self.h < np.inf):
             raise InputError("grid step must be positive and finite")
-        if self.s_res is None:
-            self.s_res = self.h / 2.0
-        if self.out_pad is None:
-            self.out_pad = 4.0 * self.h
-        if not (0.0 < self.s_res < np.inf):
-            raise InputError("ray resolution must be positive and finite")
-        if not (0.0 <= self.out_pad < np.inf):
-            raise InputError("output padding must be finite and non-negative")
+        self.s_res = self.h / 2.0
+        self.out_pad = 4.0 * self.h
         v = self.P.attain_dir
         pn = self.P.dual_norm
         if pn > 0 and abs(float(self.P(v)) - pn) > 1e-9 * max(1.0, pn):
@@ -70,15 +69,16 @@ def build_steep(spec: SteepSpec) -> LipFn:
 
     Returns a scalar LipFn with attributes gap (total reported
     discretization gap) and xi_value / xi_gap (curve-mass estimate of G);
-    the ZeroFn of a trivial case (||P|| = 0, an empty or zero-area G)
-    carries only gap.
+    the ZeroFn of a trivial case (||P|| = 0, an empty G, or a box-union G
+    of zero area, one with no boxes included) carries only gap.
 
     The terminal-ray max takes a sliding-window max along the lattice
-    (_ray_max_axis) when v_P is exactly +-e_k and s_res is the default h/2.
-    It differs from the sampled scan by rounding only, within 1e-14 *
-    max(1, max |best|), far below the gap's s_res term. Every other v_P
-    (generic, weighted-lp axes, diagonals) or s_res keeps the scan
-    (_ray_max_scan), one bilinear grid pass per ray sample.
+    (_ray_max_axis) when v_P is exactly +-e_k, as the ray samples lie
+    s_res = h/2 apart, half a lattice cell, along a lattice axis. It differs
+    from the sampled scan by rounding only, within 1e-14 * max(1, max
+    |best|), far below the gap's s_res term. Every other v_P (generic,
+    weighted-lp axes, diagonals) keeps the scan (_ray_max_scan), one
+    bilinear grid pass per ray sample.
     """
     P = spec.P
     pn = P.dual_norm
@@ -116,8 +116,7 @@ def build_steep(spec: SteepSpec) -> LipFn:
     nxo = int(np.ceil((out_hi[0] - out_lo[0]) / h)) + 1
     nyo = int(np.ceil((out_hi[1] - out_lo[1]) / h)) + 1
     s_grid = np.arange(0.0, smax + spec.s_res, spec.s_res)
-    axis_ray = (np.count_nonzero(v) == 1 and np.max(np.abs(v)) == 1.0
-                and spec.s_res == h / 2.0)
+    axis_ray = np.count_nonzero(v) == 1 and np.max(np.abs(v)) == 1.0
     ray_max = _ray_max_axis if axis_ray else _ray_max_scan
     vals = ray_max(GridFn2D(dp.lo, h, best), out_lo, (nxo, nyo), v, s_grid)
     vals = np.maximum(vals, 0.0) * pn
@@ -507,7 +506,7 @@ class PsiMap:
         return self.eval(X)
 
 
-def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side=48):
+def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side):
     """Open box union over lattice cells where phi >= thresh; bbox is a
     pair of float arrays (lo, hi)."""
     lo, hi = bbox
@@ -634,14 +633,16 @@ def build_sequence(E: Region, H0: Region, f0: LipFn, eta, schedule, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def bmgame_step_pu(E: Region, H: Region, Q: Region, theta, f: LipFn, T: LinOp,
-                   seed=0):
+def bmgame_step_pu(E: Region, Q: Region, theta, f: LipFn, T: LinOp, seed=0):
     """(U, g, delta): perturb f so its derivative near E is close to T.
 
-    Preconditions: Lip(f) < 1 (certified bound on the node), ||T|| < 1.
-    g = f + pu-map for the correction T - Df(x0), mollified; delta is the
-    uniform-differentiability radius, so the slope condition holds for any
-    h with ||h - g|| <= theta * delta / 8.
+    Preconditions: Lip(f) < 1 (certified bound on the node), ||T|| < 1, and
+    E bounded and strictly inside the bounded Q.  U is the open box of E's
+    bounding box grown on every face by 0.9 of its least gap to Q's.
+    g = f + pu-map inside U for the correction T - Df(x0), x0 the center of
+    E's bounding box, mollified; delta is the slope radius of g
+    (slope_radius), so the slope condition holds for any h with
+    ||h - g|| <= theta * delta / 8.
     """
     if T.opnorm_ub >= 1.0:
         raise HypothesisError("need ||T|| < 1 (certified)")

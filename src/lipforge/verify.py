@@ -25,9 +25,8 @@ class DerivScanReport:
     def min_error(self, op_index):
         return float(np.min(self.errors[op_index]))
 
-    def verdict(self, op_index, tol=None):
-        tol = self.tol if tol is None else tol
-        return self.min_error(op_index) <= tol
+    def verdict(self, op_index):
+        return self.min_error(op_index) <= self.tol
 
     def to_doc(self):
         from .serialize import enc_mat, enc_vec, enc_float
@@ -63,14 +62,26 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     e_j(T) = max over sampled unit directions u of
     ||f(x + r_j u) - f(x) - T(r_j u)|| / r_j.  The verdict for T holds iff
     min_j e_j(T) <= tol.  With exact=True the increments are evaluated in
-    rational arithmetic (needed at microscopic scales).  Every scale must
-    be positive and finite, as a float or, with exact=True, as given; tol
-    must be finite and >= 0, and dirs >= 0.
+    rational arithmetic (needed at microscopic scales); a node or norm
+    without exact evaluation raises ExactEvalUnsupported.  x must be finite
+    with f.d coordinates, the domain dimension of every operator, and every
+    operator must have f.l outputs; every
+    scale must be positive and finite, as a float or, with exact=True, as
+    given; tol must be finite and >= 0, and dirs >= 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     ops = list(ops)
     if not ops:
         raise InputError("need at least one candidate operator")
+    dims = [f.d] + [T.dom.dim for T in ops]
+    if any(n != len(x) for n in dims):
+        raise InputError("the point has %d coordinates; the map and the "
+                         "operators take %r" % (len(x), dims))
+    if any(T.cod.dim != f.l for T in ops):
+        raise InputError("the map has %d outputs; the operators give %r"
+                         % (f.l, [T.cod.dim for T in ops]))
+    if not np.all(np.isfinite(x)):
+        raise InputError("the point must be finite, got %r" % (x.tolist(),))
     radii = list(scales) if exact else [float(s) for s in scales]
     if not radii or not all(0 < r < math.inf for r in radii):
         raise InputError("scales must be positive and finite, got %r" % (radii,))
@@ -86,8 +97,6 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     U = _directions(len(x), dirs, seed, dom)
     errors = np.zeros((len(ops), len(scales)))
     if exact:
-        if not f.exact_capable:
-            raise InputError("exact scan requested on a non-exact node")
         xf = [as_fraction(v) for v in x]
         f0 = f.eval_exact(xf)
         Uf = [[as_fraction(v) for v in u] for u in U]
@@ -242,10 +251,12 @@ def dyadic_radius(g: LipFn, pts, dirs, exps, linear, too_far):
     return None
 
 
-def c1_check(f: LipFn, U, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
+def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
     """Two-step-size agreement of central-difference Jacobians plus a
     first-order model consistency probe.
 
+    pts is one point or an (n, d) array of them, drawn by the caller from
+    the region where f should be C1; steps are (h, h/2).
     Passes iff at every point ||J_h - J_{h/2}|| and the one-sided residual
     ||f(x + h e_i) - f(x) - h J[:, i]|| / h are both within
     rich_tol * max(1, ||J_{h/2}||).  The one-sided probe catches kinks that

@@ -217,7 +217,7 @@ def test_criterion_08_smoothing():
     gm = mollify(f, MollifierSpec(eps, 2, order=8))
     X = rng.uniform(-1, 1, (100000, 2))
     ok &= float(np.max(np.abs(gm.eval(X) - f.eval(X)))) <= eps + 1e-12
-    passed, worst, _ = c1_check(gm, None, rng.uniform(-1, 1, (20, 2)),
+    passed, worst, _ = c1_check(gm, rng.uniform(-1, 1, (20, 2)),
                                 rich_tol=0.15)
     ok &= passed
     # smooth_around
@@ -230,7 +230,7 @@ def test_criterion_08_smoothing():
     bb = gs.smooth_region.bbox()
     pts = rng.uniform(bb[0], bb[1], (60, 2))
     pts = pts[gs.smooth_region.contains(pts)][:20]
-    passed, worst, _ = c1_check(gs, gs.smooth_region, pts,
+    passed, worst, _ = c1_check(gs, pts,
                                 steps=(1e-3, 5e-4), rich_tol=0.15)
     ok &= passed
     # SLA assembly bound

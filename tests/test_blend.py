@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipforge.blend import BlendSpec, build_blend, eval_blend
+from lipforge.blend import BlendSpec
 from lipforge.errors import InputError
 from lipforge.fn import LinearFn, ZeroFn
 from lipforge.spaces import lp_space
@@ -19,7 +19,7 @@ def test_blend_equals_pieces_inside_and_outside(l2_2):
     m1 = 0.4 * np.eye(2)
     m2 = np.array([[0.0, 0.5], [0.0, 0.0]])
     spec = _spec(1.0, 2.0, m1, m2, l2_2)
-    phi = build_blend(spec)
+    phi = spec.fn
     inner = np.array([[0.3, 0.2], [-0.5, 0.1]])
     outer = np.array([[3.0, 0.0], [0.0, -4.0]])
     assert np.allclose(phi.eval(inner), inner @ m1.T)
@@ -67,4 +67,4 @@ def test_blend_zero_pieces(l2_2):
     z = ZeroFn(2, 2)
     spec = BlendSpec(0.5, 1.5, z, z, 0.0, 0.0, l2_2)
     x = np.array([[0.7, -0.2]])
-    assert np.allclose(eval_blend(spec, x), 0.0)
+    assert np.allclose(spec.fn(x), 0.0)

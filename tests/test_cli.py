@@ -297,10 +297,32 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
      "--scales", "0.1", "--tol", "-1"],
     ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
      "--scales", "0.1", "--dirs", "-1"],
+    ["cyl", "--op", "{op}", "--budget", "-1"],
 ])
 def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
     assert run_cli(argv) == 2
+
+
+# a scan point that is not finite or does not fit the map, an operator whose
+# codomain does not fit it, and an exact scan of a map with a Euclidean norm:
+# each is refused before any scan, exit 2
+@pytest.mark.parametrize("point, op, exact, message", [
+    ("0.5,nan", "scalar", [], "the point must be finite"),
+    ("0.5,inf", "scalar", [], "the point must be finite"),
+    ("0.5", "scalar", [], "the point has 1 coordinates"),
+    ("0.5,0.5", "op", [], "the map has 1 outputs"),
+    ("0.5,0.5", "scalar", ["--exact"], "exact norm needs"),
+])
+def test_exit_code_verify_bad_input(files, tmp_path, l2_2, capsys, point, op,
+                                    exact, message):
+    files["scalar"] = str(tmp_path / "scalar.json")
+    dump_path(LinOp.build(np.array([[1.0, 0.0]]), l2_2, lp_space(1, 2)).to_doc(),
+              files["scalar"])
+    argv = ["verify", "--fn", files["dist"], "--point", point, "--ops",
+            files[op], "--scales", "0.1", "--require-pass"] + exact
+    assert run_cli(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 # every region flag given an unbounded region: each construction needs a

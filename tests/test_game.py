@@ -48,15 +48,6 @@ def test_limit_is_one_lipschitz_sampled():
     assert est <= 1.0 + 1e-7
 
 
-def test_witness_selection_majority():
-    dom, cod, E, Q, T = _arena()
-    t = run_bm_game(E, Q, T, IdentityPolicy(dom, cod, Q), 3)
-    wits = t.select_witnesses()
-    assert len(wits) >= 1
-    pts, counts = t.witness_counts()
-    assert counts.max() <= len(t.rounds)
-
-
 def test_successive_centers_stay_within_ball():
     # Player II centers differ by at most s_{k-1} in sup over Q samples
     dom, cod, E, Q, T = _arena()

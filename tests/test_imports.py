@@ -1,9 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""Checks over each library module's AST.
 
-No linter ships with the toolchain, so this walks each module's AST: an
-imported name counts as used when it appears as a name anywhere else in the
-module (a bare name or the base of an attribute access). __init__.py is
-left out: its imports are the package's public names.
+Every name a module imports is used in that module.  No linter ships with
+the toolchain, so this walks each module's AST: an imported name counts as
+used when it appears as a name anywhere else in the module (a bare name or
+the base of an attribute access). __init__.py is left out: its imports are
+the package's public names.
+
+The library holds at most SETTABLE_DEFAULTS settable defaults: keyword
+defaults of functions and lambdas plus dataclass fields with a default,
+not counting field(init=False).  A tuning number with one value in use is
+a constant, not a keyword; the bound falls as such keywords go.
 """
 
 import ast
@@ -16,6 +22,7 @@ import lipforge
 SRC = os.path.dirname(lipforge.__file__)
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
+SETTABLE_DEFAULTS = 66
 
 
 def _unused_imports(source):
@@ -40,3 +47,52 @@ def test_checker_flags_an_unused_name():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def _settable_defaults(source):
+    """(line, owner, name) of each settable default in source."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            owner = getattr(node, "name", "<lambda>")
+            pos = a.posonlyargs + a.args
+            out += [(node.lineno, owner, arg.arg)
+                    for arg in pos[len(pos) - len(a.defaults):]]
+            out += [(node.lineno, owner, arg.arg)
+                    for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for st in node.body:
+                if not (isinstance(st, ast.AnnAssign) and st.value is not None):
+                    continue
+                v = st.value
+                if (isinstance(v, ast.Call) and ast.unparse(v.func) == "field"
+                        and any(k.arg == "init" and ast.unparse(k.value) == "False"
+                                for k in v.keywords)):
+                    continue
+                out.append((st.lineno, node.name, st.target.id))
+    return out
+
+
+def test_counter_sees_keywords_and_dataclass_fields():
+    src = ("from dataclasses import dataclass, field\n"
+           "def f(a, b=1, *, c=2, d): pass\n"
+           "g = lambda x=0: x\n"
+           "@dataclass\n"
+           "class S:\n"
+           "    a: int\n"
+           "    b: int = 3\n"
+           "    c: list = field(default_factory=list)\n"
+           "    d: int = field(init=False)\n")
+    assert sorted((owner, name) for _, owner, name in _settable_defaults(src)) == [
+        ("<lambda>", "x"), ("S", "b"), ("S", "c"), ("f", "b"), ("f", "c")]
+
+
+def test_settable_default_count():
+    found = []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module)) as fh:
+            found += [(module,) + d for d in _settable_defaults(fh.read())]
+    listing = "\n".join("%s:%d %s %s" % d for d in sorted(found))
+    assert len(found) <= SETTABLE_DEFAULTS, listing

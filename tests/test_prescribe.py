@@ -41,7 +41,7 @@ def test_exact_affinity_on_alpha_balls(l2_2, rng):
 def test_exact_affinity_in_rational_arithmetic(linf_2):
     Q, gamma, L = _setup(linf_2)
     g, alpha = prescribe_derivative(ZeroFn(2, 2), L, 0.5, gamma, 0.1, Q)
-    a = g.alpha_exact
+    a = g.alpha
     x = [Fraction(0), Fraction(0)]
     u = [a / 2, a / 3]
     gv = g.eval_exact([x[0] + u[0], x[1] + u[1]])
@@ -84,7 +84,7 @@ def test_deep_game_scale_radii(linf_2):
     Q, gamma, L = _setup(linf_2)
     r = Fraction(1, 2 ** 1200)
     g, alpha = prescribe_derivative(ZeroFn(2, 2), L, r, gamma[:1], 0.1, Q)
-    a = g.alpha_exact
+    a = g.alpha
     assert a > 0 and float(a) == 0.0  # underflows floats, fine exactly
     x = [Fraction(0), Fraction(0)]
     u = [a / 2, Fraction(0)]

@@ -23,7 +23,6 @@ from lipforge.regions import (BallUnion, BoxUnion, Complement, EmptyRegion,
                               Intersection, Region, UnionRegion, box_region,
                               gen_four_corner)
 from lipforge.serialize import dumps, loads
-from lipforge.smooth import MollifiedFn
 from lipforge.spaces import NormedSpace, lp_space
 
 DOCS_PATH = os.path.join(os.path.dirname(__file__), "serialize_docs.json")
@@ -94,15 +93,18 @@ NODE_CASES = {
     "region-switch-lip": lambda: RegionSwitchFn(
         BallUnion([[0.5, 0.5]], 0.4, HEX), _dist(), _rbump(), lip_bound=1.0),
     "shift-comb": lambda: ConvexShiftCombFn(_dist(), SHIFTS, WEIGHTS),
-    "mollified": lambda: MollifiedFn(_lin(), SHIFTS, WEIGHTS),
-    "mollified-domain": lambda: MollifiedFn(_dist(), SHIFTS, WEIGHTS,
-                                            domain=box_region([-2, -2], [3, 3])),
 }
+
+
+def _open_grown(G, margin):
+    """The open union of G's boxes each grown by margin, with G's meta."""
+    return BoxUnion(G.lo - margin, G.hi + margin, open_=True, meta=G.meta)
+
 
 REGION_CASES = {
     "empty": lambda: EmptyRegion(2),
     "box-union": lambda: box_region([0.0, 0.0], [1.0, 0.5]),
-    "box-union-open-meta": lambda: gen_four_corner(1).inflate(0.01),
+    "box-union-open-meta": lambda: _open_grown(gen_four_corner(1), 0.01),
     "box-union-four-corner": lambda: gen_four_corner(2),
     "ball-union": lambda: BallUnion([[0.0, 0.0], [1.0, 0.5]], 0.3, L2),
     "ball-union-closed-hex": lambda: BallUnion([[0.5, 0.5]], 0.25, HEX, open_=False),
@@ -162,8 +164,6 @@ def test_optional_fields_set_and_unset():
     blends = [d for d in docs if d["node"] == "blend"]
     assert {("lip1" in d, "lip2" in d) for d in blends} == {
         (False, False), (True, False), (True, True)}
-    moll = [d for d in docs if d["node"] == "mollified"]
-    assert {"domain" in d for d in moll} == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_CASES))
@@ -189,8 +189,10 @@ def test_region_doc_pinned_and_round_trips(name, pinned):
 def test_unknown_tag_and_kind_rejected():
     from lipforge.errors import InputError
 
-    with pytest.raises(InputError):
-        LipFn.from_doc({"node": "no-such-node"})
+    # "mollified" tagged the shift combination of an earlier format
+    for tag in ("no-such-node", "mollified"):
+        with pytest.raises(InputError):
+            LipFn.from_doc({"node": tag})
     with pytest.raises(InputError):
         Region.from_doc({"kind": "no-such-region"})
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +67,6 @@ def test_exact_evaluators_match_float(rng):
         n = sp.norm(X)
         assert (n <= 0.5).any() and (n >= 1.5).any() and ((n > 0.5) & (n < 1.5)).any()
         for f in (dist, blend, outer):
-            assert f.exact_capable
             got = np.array([[float(v) for v in f.eval_exact(x)] for x in Xf])
             assert np.max(np.abs(got - f.eval(X))) <= 1e-12, (sp, f.tag)
 
@@ -215,6 +215,57 @@ def test_thin_polyhedral_bracket_holds_its_witness():
     lb, ub, w = op_norm(T, dom, cod)
     assert lb == ub == pytest.approx(cod.norm(T @ w) / dom.norm(w), rel=1e-15)
     assert op_norm_upper(T, dom, cod) == pytest.approx(ub, rel=1e-15)
+
+
+@pytest.mark.parametrize("T", [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 2.0], [0.0, 4.0]]])
+def test_polyhedral_bracket_ignores_a_tiny_interior_generator(T):
+    # 1e-310 e1 lies inside the ball; kept as a vertex, its 1 / norm scale
+    # overflowed and the bracket read (inf, inf), or NaN where T e1 = 0
+    dom = NormedSpace(2, {"kind": "polyhedral",
+                          "vertices": [[1.0, 0.0], [0.0, 1.0], [1e-310, 0.0]]})
+    cod = lp_space(2, 2)
+    T = np.array(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lb, ub, w = op_norm(T, dom, cod)
+    X = np.vstack([np.random.default_rng(0).normal(size=(4000, 2)), w])
+    best = float(np.max(cod.norm(X @ T.T) / dom.norm(X)))
+    assert lb <= best <= ub
+    assert lb == ub == pytest.approx(np.sqrt(20.0), rel=1e-15)  # at e2
+
+
+@st.composite
+def _hull_and_interior(draw):
+    """2-d generators in strictly convex position (on an ellipse, at least
+    0.2 rad apart, their negatives included) and points inside their hull,
+    tiny ones among them."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+    ang = np.cumsum(gaps)
+    assume(ang[-1] - ang[0] <= np.pi - 0.2)
+    scale = np.array(draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))))
+    verts = np.stack([np.cos(ang), np.sin(ang)], axis=1) * scale
+    inner = []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = draw(st.sampled_from([0.0, 1e-310, 1e-300, 1e-150, 1e-3, 0.5, 0.9]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        inner.append(sign * t * (verts[i] + verts[j]) / 2.0)
+    return verts, np.array(inner)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_hull_and_interior(), p=st.sampled_from([1, 2, "inf"]),
+       seed=st.integers(0, 2 ** 16))
+def test_polyhedral_bracket_unchanged_by_interior_generators(case, p, seed):
+    verts, inner = case
+    dom = NormedSpace(2, {"kind": "polyhedral", "vertices": verts})
+    padded = NormedSpace(2, {"kind": "polyhedral",
+                             "vertices": np.vstack([verts, inner])})
+    assert np.array_equal(padded.unit_ball_vertices(), dom.unit_ball_vertices())
+    T = np.random.default_rng(seed).normal(size=(2, 2))
+    cod = lp_space(2, p)
+    assert op_norm(T, padded, cod)[:2] == op_norm(T, dom, cod)[:2]
 
 
 def test_linf_domain_above_vertex_cap():
