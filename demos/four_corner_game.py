@@ -26,4 +26,4 @@ for name in sorted(POLICIES):
               % (c["level"], c["error"], c["bound"], c["points"]))
     # the round radii leave float range fast; they are exact rationals
     last = t.rounds[-1]
-    print("  final radius ~ 2^%d" % last.r.denominator.bit_length())
+    print("  final radius ~ 2^%d" % -last.r.denominator.bit_length())

@@ -4,13 +4,14 @@ The distance function x -> ||x - p|| has a kink at p.  smooth_around
 replaces it near a compact set E by a C^1 function that stays uniformly
 close and does not increase the Lipschitz constant beyond eps.  c1_check
 compares finite-difference Jacobians at two step sizes, at points sampled
-inside g.smooth_region.
+inside smooth_region(E, Q), where g is smooth.
 """
 
 import numpy as np
 
 from lipforge import box_region, lp_space, smooth_around
 from lipforge.fn import DistFn
+from lipforge.smooth import smooth_region
 from lipforge.verify import c1_check, lip_estimate
 
 space = lp_space(2, 2)
@@ -26,9 +27,10 @@ X = rng.uniform(-1, 2, (50000, 2))
 print("sup |g - f| =", float(np.max(np.abs(g.eval(X) - f.eval(X)))),
       "<= eps =", eps)
 
-bb = g.smooth_region.bbox()
+H = smooth_region(E, Q)
+bb = H.bbox()
 pts = rng.uniform(bb[0], bb[1], (60, 2))
-pts = pts[g.smooth_region.contains(pts)][:20]
+pts = pts[H.contains(pts)][:20]
 ok, worst, _ = c1_check(g, pts)
 print("C1 check on the smoothed region:", ok, "(worst residual %.3e)" % worst)
 

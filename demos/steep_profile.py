@@ -16,7 +16,8 @@ G = box_region([-0.1, -2.0], [1.1, 2.0])
 spec = SteepSpec(G, P, alpha=0.3, h=0.05)
 
 g = build_steep(spec)
-print("reported discretization gap:", g.gap)
+props, gap = check_steep_properties(g, spec, n=200)
+print("reported discretization gap:", gap)
 
 # crossing the strip along e1 gains exactly 1 (= ||P||), up to the gap
 a = float(g(np.array([0.0, 0.0]))[0])
@@ -29,6 +30,6 @@ print("transversal increment:     ", c - a)
 
 print()
 print("certified properties (residual <= bound):")
-for name, (res, bound) in check_steep_properties(g, spec, n=200).items():
+for name, (res, bound) in props.items():
     print("  %-16s %.3e <= %.3e  %s"
           % (name, res, bound, "ok" if res <= bound + 1e-9 else "FAIL"))

@@ -20,7 +20,7 @@ from .game import POLICIES, certify_transcript, run_bm_game
 from .prescribe import build_net, prescribe_derivative
 from .regions import Region, gen_four_corner
 from .serialize import dump_path, enc_float, load_path
-from .smooth import smooth_around
+from .smooth import smooth_around, smooth_region
 from .spaces import Functional, LinOp, cyl_constant, lp_space
 from .steep import (SteepSpec, build_pu_map, build_steep,
                     check_steep_properties, pu_map_certificate)
@@ -146,11 +146,11 @@ def cmd_steep(args):
     g = build_steep(spec)
     out = _outdir(args)
     _write_fn(os.path.join(out, "g.json"), g)
-    props = check_steep_properties(g, spec, seed=args.seed)
+    props, gap = check_steep_properties(g, spec, seed=args.seed)
     cert = {name: {"residual": enc_float(res), "bound": enc_float(bound),
                    "ok": bool(res <= bound + 1e-12)}
             for name, (res, bound) in props.items()}
-    cert["gap"] = enc_float(getattr(g, "gap", 0.0))
+    cert["gap"] = enc_float(gap)
     _write_json(os.path.join(out, "certificate.json"), cert)
     bad = [n for n, c in cert.items() if isinstance(c, dict) and not c["ok"]]
     if args.svg:
@@ -258,9 +258,9 @@ def cmd_smooth(args):
     out = _outdir(args)
     _write_fn(os.path.join(out, "g.json"), g)
     rng = np.random.default_rng(args.seed)
-    lo, hi = g.smooth_region.bounds("smooth region")
-    pts = rng.uniform(lo, hi, (30, f.d))
-    keep = g.smooth_region.contains(pts)
+    H = smooth_region(E, Q)
+    pts = rng.uniform(*H.bounds("smooth region"), (30, f.d))
+    keep = H.contains(pts)
     passed, worst, _ = c1_check(g, pts[keep])
     X = rng.uniform(*Q.bounds("Q"), (20000, f.d))
     dev = float(np.max(np.abs(g.eval(X) - f.eval(X))))

@@ -66,6 +66,8 @@ def sample_fn(fn, bbox, res):
     hi = np.asarray(bbox[1], dtype=float).ravel()
     if len(lo) != 2:
         raise InputError("grid sampling supports d = 2")
+    if res < 1:
+        raise InputError("the grid needs res >= 1")
     xs = np.linspace(lo[0], hi[0], res)
     ys = np.linspace(lo[1], hi[1], res)
     mx, my = np.meshgrid(xs, ys, indexing="ij")

@@ -39,6 +39,14 @@ class Region:
         """((lo, hi)) enclosing box or None if unbounded."""
         raise NotImplementedError
 
+    def _points(self, X):
+        """X as float rows; InputError unless each row has dim coordinates."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise InputError("points have %d coordinates; the region has %d"
+                             % (X.shape[1], self.dim))
+        return X
+
     def bounds(self, name):
         """bbox() as float arrays (lo, hi) for a construction that needs a
         bounded region; name is the region's name in the error."""
@@ -81,12 +89,10 @@ class EmptyRegion(Region):
         self.dim = dim
 
     def contains(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.zeros(len(X), dtype=bool)
+        return np.zeros(len(self._points(X)), dtype=bool)
 
     def dist_to_boundary(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(len(X), np.inf)
+        return np.full(len(self._points(X)), np.inf)
 
     def bbox(self):
         lo = np.zeros(self.dim)
@@ -116,7 +122,7 @@ class BoxUnion(Region):
         return len(self.lo)
 
     def contains(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         inside = np.ones((len(X), self.n_boxes), dtype=bool)
         for ax in range(self.dim):
             x = X[:, ax, None]
@@ -129,7 +135,7 @@ class BoxUnion(Region):
     def dist_to_boundary(self, X):
         """|min over boxes of max over axes of max(lo - x, x - hi)|: the
         largest inside margin of a containing box, else the smallest gap."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         signed = np.full((len(X), self.n_boxes), -np.inf)
         for ax in range(self.dim):
             x = X[:, ax, None]
@@ -216,7 +222,7 @@ class BallUnion(Region):
         self.dim = self.centers.shape[1]
 
     def _dists(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         return np.stack([self.space.norm(X - c) for c in self.centers], axis=1)
 
     def contains(self, X):

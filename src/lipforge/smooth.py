@@ -279,6 +279,14 @@ def _directional_kernel(length):
     return x[keep, 0] * (length / 2.0), raw[keep] / raw[keep].sum()
 
 
+def smooth_region(E: Region, Q: Region) -> Region:
+    """Where smooth_around(E, Q, ...) is smooth: the open box hull of
+    B(E, rho), rho = min(room / 2, 1/4), room the gap from E to Q's bounds."""
+    loE, hiE, room = room_inside(E, Q, "Q")
+    rho = min(room / 2.0, 0.25)
+    return box_region(loE - rho, hiE + rho, open_=True)
+
+
 def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     """Smooth f near E, keep it unchanged off a neighborhood of E.
 
@@ -288,16 +296,14 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     shrinking supports |J_i| = eps / (2 (Lip f + 1) 2^i); in dimension d
     only the first d (independent) directions change the values, so the
     convolution product is truncated there and the skipped tail is within
-    the eps budget.  The result is smooth on the open box hull of
-    B(E, rho), rho = min(room / 2, 1/4), where room is the gap between E
-    and the boundary of Q.
+    the eps budget.  The result is smooth on smooth_region(E, Q), the
+    plateau's core, and equals f off the box of E grown by 0.9 room.
     """
     if not 0.0 < eps < np.inf:
         raise InputError("eps must be positive and finite")
     d = f.d
     lip_f = f.lip_bound if f.lip_bound is not None else 1.0
     loE, hiE, room = room_inside(E, Q, "Q")
-    rho = min(room / 2.0, 0.25)
     if d == 1:
         dirs = [np.array([1.0])]
     elif d == 2:
@@ -321,10 +327,9 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     keep = weights > 1e-12
     shifts, weights = shifts[keep], weights[keep] / weights[keep].sum()
     h1 = ConvexShiftCombFn(f, shifts, weights)
-    h1.lip_bound = lip_f
     theta_1 = lip_f * total_shift + 1e-12
 
-    lo_h, hi_h = loE - rho, hiE + rho          # H = B(E, rho) box hull
+    lo_h, hi_h = smooth_region(E, Q).bounds("smooth region")
     lo_s, hi_s = loE - room * 0.9, hiE + room * 0.9
     plateau = PlateauFn(lo_s, hi_s, lo_h, hi_h)
     pou = PartitionOfUnity([plateau], [box_region(lo_s, hi_s)],
@@ -335,7 +340,6 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     g = sla_assemble(f, box_region(lo_s, hi_s, open_=True), pou, [h1],
                      theta_ks=[theta_1], theta=None, seed=seed)
     g.lip_bound = lip_f + eps
-    g.smooth_region = box_region(lo_h, hi_h, open_=True)
     return g
 
 

@@ -67,7 +67,6 @@ class NormedSpace:
             self._init_polyhedral(descriptor)
         else:
             raise DescriptorError("unsupported norm descriptor kind: %r" % kind)
-        self.descriptor = self._canonical_descriptor()
 
     @staticmethod
     def _parse_p(p):
@@ -128,17 +127,6 @@ class NormedSpace:
             rows.append(a / (-b))
         return _dedupe_rows(np.array(rows)), np.sort(hull.vertices)
 
-    def _canonical_descriptor(self):
-        if self.kind == "lp":
-            return {"kind": "lp", "p": "inf" if np.isinf(self._p) else self._p}
-        if self.kind == "weighted-lp":
-            return {
-                "kind": "weighted-lp",
-                "p": "inf" if np.isinf(self._p) else self._p,
-                "weights": [float(w) for w in self._weights],
-            }
-        return {"kind": "polyhedral", "vertices": [[float(x) for x in r] for r in self._vertices]}
-
     # ---- evaluation -----------------------------------------------------
 
     def norm(self, X):
@@ -147,6 +135,9 @@ class NormedSpace:
         single = X.ndim == 1
         if single:
             X = X.reshape(1, -1)
+        if X.shape[-1] != self.dim:
+            raise InputError("points have %d coordinates; the space has %d"
+                             % (X.shape[-1], self.dim))
         if self.kind in ("lp", "weighted-lp"):
             Y = X if self._weights is None else X * self._scale_vec()
             p = self._p
@@ -227,11 +218,12 @@ class NormedSpace:
     # ---- serialization ---------------------------------------------------
 
     def to_doc(self):
-        desc = dict(self.descriptor)
-        if desc["kind"] == "weighted-lp":
-            desc = dict(desc, weights=[enc_float(w) for w in self._weights])
-        elif desc["kind"] == "polyhedral":
+        if self.kind == "polyhedral":
             desc = {"kind": "polyhedral", "vertices": enc_mat(self._vertices)}
+        else:
+            desc = {"kind": self.kind, "p": "inf" if np.isinf(self._p) else self._p}
+            if self.kind == "weighted-lp":
+                desc["weights"] = [enc_float(w) for w in self._weights]
         return {"space": {"dim": self.dim, "descriptor": desc}}
 
     @classmethod

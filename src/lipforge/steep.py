@@ -67,10 +67,9 @@ class SteepSpec:
 def build_steep(spec: SteepSpec) -> LipFn:
     """Grid approximation of the steep function for (G, P, alpha).
 
-    Returns a scalar LipFn with attributes gap (total reported
-    discretization gap) and xi_value / xi_gap (curve-mass estimate of G);
-    the ZeroFn of a trivial case (||P|| = 0, an empty G, or a box-union G
-    of zero area, one with no boxes included) carries only gap.
+    Returns the GridFn2D of the values on the output grid, or a ZeroFn in
+    a trivial case (||P|| = 0, an empty G, or a box-union G of zero area,
+    one with no boxes included). check_steep_properties reports its gap.
 
     The terminal-ray max takes a sliding-window max along the lattice
     (_ray_max_axis) when v_P is exactly +-e_k, as the ray samples lie
@@ -85,9 +84,7 @@ def build_steep(spec: SteepSpec) -> LipFn:
     lo_g, hi_g = spec.G.bounds("G")
     if pn == 0.0 or isinstance(spec.G, EmptyRegion) or (
             isinstance(spec.G, BoxUnion) and spec.G.area() == 0.0):
-        g = ZeroFn(P.space.dim, 1)
-        g.gap = 0.0
-        return g
+        return ZeroFn(P.space.dim, 1)
     if P.space.dim != 2:
         raise InputError("grid steep construction supports d = 2")
 
@@ -110,9 +107,6 @@ def build_steep(spec: SteepSpec) -> LipFn:
     dp = LatticeDP(spec.G, cs, bbox=(ext_lo, ext_hi), pad=1)
     best = dp.best.reshape(dp.shape)
 
-    # curve-mass estimate of G itself (for the (i) upper bound)
-    xi_val, xi_gap, _ = xi_estimate(spec.G, cs)
-
     nxo = int(np.ceil((out_hi[0] - out_lo[0]) / h)) + 1
     nyo = int(np.ceil((out_hi[1] - out_lo[1]) / h)) + 1
     s_grid = np.arange(0.0, smax + spec.s_res, spec.s_res)
@@ -120,12 +114,7 @@ def build_steep(spec: SteepSpec) -> LipFn:
     ray_max = _ray_max_axis if axis_ray else _ray_max_scan
     vals = ray_max(GridFn2D(dp.lo, h, best), out_lo, (nxo, nyo), v, s_grid)
     vals = np.maximum(vals, 0.0) * pn
-
-    gap_raw = xi_gap + 2.0 * h * (1.0 + spec.k) + spec.s_res
-    g = GridFn2D(out_lo, h, vals, lip_bound=None)
-    g.gap = float(pn * gap_raw)
-    g.xi_value, g.xi_gap = float(xi_val), float(xi_gap)
-    return g
+    return GridFn2D(out_lo, h, vals, lip_bound=None)
 
 
 def _ray_max_scan(best_fn, out_lo, shape, v, s_grid):
@@ -184,16 +173,18 @@ def _ray_max_axis(best_fn, out_lo, shape, v, s_grid):
 
 
 def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
-    """Sampled residuals of the steep-function properties, each reported as
-    (worst residual, allowed bound).  Negative or zero residual slack means
-    the property holds within the reported gap; the ZeroFn of a trivial
-    case gets the single entry zero."""
+    """(props, gap) for g = build_steep(spec): props maps each property to
+    its sampled (worst residual, allowed bound), met when residual <= bound;
+    gap = ||P|| (xi_gap + 2h (1 + k) + s_res), xi_gap that of G's curve-mass
+    estimate, which also caps (i).  A trivial case's ZeroFn gets the single
+    entry zero and gap 0."""
     rng = np.random.default_rng(seed)
-    gap = getattr(g, "gap", 0.0)
     if isinstance(g, ZeroFn):
-        return {"zero": (0.0, gap)}
+        return {"zero": (0.0, 0.0)}, 0.0
     P = spec.P
     pn = P.dual_norm
+    xi_val, xi_gap, _ = xi_estimate(spec.G, CurveSpec(P, spec.alpha, spec.h, k=spec.k))
+    gap = float(pn * (xi_gap + 2.0 * spec.h * (1.0 + spec.k) + spec.s_res))
     lo, hi = spec.G.bounds("G")
     span = hi - lo
     X = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, (n, 2))
@@ -201,7 +192,7 @@ def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     out = {}
 
     gv = g.eval(X)[:, 0]
-    ximax = pn * (g.xi_value + g.xi_gap)
+    ximax = pn * (xi_val + xi_gap)
     out["i-lower"] = (float(np.max(-gv)), gap)
     out["i-upper"] = (float(np.max(gv - ximax)), gap)
 
@@ -251,7 +242,7 @@ def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
     lam_res = np.max(resid - bound, initial=0.0)
     out["iii-lambda-range"] = (float(lam_rng), gap / max(1e-9, pn * spec.h))
     out["iii-lambda-resid"] = (float(lam_res), gap)
-    return out
+    return out, gap
 
 
 def enumerate_steep_oracle(G: Region, cs: CurveSpec, bbox):
@@ -296,7 +287,9 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
 
     g is assembled coordinate-wise from steep functions on small covers of
     E, gated by a C1 plateau that is 1 on a neighborhood of E and 0 outside
-    U.  Attributes on g: gap, parts (per-coordinate diagnostics), cyl_value.
+    U.  Attributes on g: gap (discretization), cyl_value (c(T)) and parts,
+    per kept coordinate a dict of coord, eps, eps_formal, cover_level,
+    cover_met, xi_value, xi_gap, vmax, w_norm, P_norm and grid_h.
     """
     if not (0.0 < theta < np.inf):
         raise InputError("theta must be positive and finite")
@@ -367,7 +360,7 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         parts.append({
             "coord": i, "eps": eps_i, "eps_formal": eps_formal,
             "cover_level": level, "cover_met": met,
-            "xi_value": xi_val, "xi_gap": xi_gap, "steep_gap": s.gap,
+            "xi_value": xi_val, "xi_gap": xi_gap,
             "vmax": vmax, "w_norm": w_norm, "P_norm": ti_norm, "grid_h": h_i,
         })
 
@@ -587,10 +580,7 @@ def build_psi_map(E: Region, eta, phi: LipFn, T: LinOp, n_side=32, seed=0):
     ramp_hi = np.minimum(band_hi, hiC + eta * 0.4)
     plateau = PlateauFn(ramp_lo, ramp_hi, loC, hiC)
     raw = VecScaleFn(plateau, LinearFn(T.matrix))
-    spec = MollifierSpec(max(eta * 0.02, 1e-3), d, order=8)
-    f = mollify(raw, spec)
-    f.lip_bound = None
-    return f, psi, H_core
+    return mollify(raw, MollifierSpec(max(eta * 0.02, 1e-3), d, order=8)), psi, H_core
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +651,7 @@ def bmgame_step_pu(E: Region, Q: Region, theta, f: LipFn, T: LinOp, seed=0):
         return U, f, delta
     p, _H = build_pu_map(E, U, corr, max(zeta, 1e-3), seed=seed)
     if not isinstance(p, ZeroFn):
-        grid_h = max((q["grid_h"] for q in getattr(p, "parts", [])), default=1e-3)
+        grid_h = max((q["grid_h"] for q in p.parts), default=1e-3)
         spec = MollifierSpec(max(grid_h, 1e-4), f.d, order=8)
         p = mollify(p, spec)
     g = SumFn([f, p], [1.0, 1.0])

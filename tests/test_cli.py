@@ -298,6 +298,8 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
     ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
      "--scales", "0.1", "--dirs", "-1"],
     ["cyl", "--op", "{op}", "--budget", "-1"],
+    ["plot", "--fn", "{fn}", "--bbox", "0,0;1,1", "--res", "0"],
+    ["plot", "--fn", "{fn}", "--bbox", "0,0;1,1", "--res", "-3"],
 ])
 def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
@@ -351,6 +353,27 @@ def test_exit_code_unbounded_region(files, tmp_path, argv):
     argv = [a.format(C=C, **files) for a in argv] + ["--out", str(out)]
     assert run_cli(argv) == 2
     assert not out.exists()
+
+
+# a 3-d box around the 2-d set, or a 3-d operator on it: the region or the
+# space refuses the 2-d points, exit 2
+@pytest.mark.parametrize("argv, message", [
+    (["game", "--set", "{E}", "--q", "{Q3}", "--op", "{op_inf}",
+      "--rounds", "2"], "the region has 3"),
+    (["prescribe", "--q", "{Q3}", "--set", "{E}", "--op", "{op}", "--r", "0.4",
+      "--s", "0.05", "--kmax", "1"], "the region has 3"),
+    (["prescribe", "--q", "{Q}", "--set", "{E}", "--op", "{op3}", "--r", "0.4",
+      "--s", "0.05", "--kmax", "1"], "the space has 3"),
+])
+def test_exit_code_dimension_mismatch(files, tmp_path, capsys, argv, message):
+    files["Q3"] = str(tmp_path / "Q3.json")
+    dump_path(box_region([-1.0] * 3, [2.0] * 3).to_doc(), files["Q3"])
+    files["op3"] = str(tmp_path / "op3.json")
+    l2_3 = lp_space(3, 2)
+    dump_path(LinOp.build(0.3 * np.eye(3), l2_3, l2_3).to_doc(), files["op3"])
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert run_cli(argv) == 2
+    assert "points have 2 coordinates; " + message in capsys.readouterr().err
 
 
 def test_steep_empty_region_zero_certificate(tmp_path):

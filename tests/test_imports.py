@@ -10,6 +10,10 @@ The library holds at most SETTABLE_DEFAULTS settable defaults: keyword
 defaults of functions and lambdas plus dataclass fields with a default,
 not counting field(init=False).  A tuning number with one value in use is
 a constant, not a keyword; the bound falls as such keywords go.
+
+A construction returns plain nodes: the only attributes the library stores
+on an object other than self or cls are the pu map's diagnostics and the
+Lipschitz claims of two assembled maps, listed in PATCHED_ATTRIBUTES.
 """
 
 import ast
@@ -23,6 +27,15 @@ SRC = os.path.dirname(lipforge.__file__)
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 SETTABLE_DEFAULTS = 66
+PATCHED_ATTRIBUTES = [
+    ("smooth.py", "smooth_around", "g.lip_bound"),
+    ("steep.py", "_zero_pu_map", "g.gap"),
+    ("steep.py", "_zero_pu_map", "g.parts"),
+    ("steep.py", "bmgame_step_pu", "g.lip_bound"),
+    ("steep.py", "build_pu_map", "g.cyl_value"),
+    ("steep.py", "build_pu_map", "g.gap"),
+    ("steep.py", "build_pu_map", "g.parts"),
+]
 
 
 def _unused_imports(source):
@@ -96,3 +109,43 @@ def test_settable_default_count():
             found += [(module,) + d for d in _settable_defaults(fh.read())]
     listing = "\n".join("%s:%d %s %s" % d for d in sorted(found))
     assert len(found) <= SETTABLE_DEFAULTS, listing
+
+
+def _attribute_stores(source):
+    """(line, function, target) of each store to an attribute of an object
+    other than self or cls; function is the innermost enclosing def."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            out.append((node.lineno, owner, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_store_walker_skips_self_and_cls():
+    src = ("x.a = 1\n"
+           "def f(g, self):\n"
+           "    self.b = g.c = 2\n"
+           "    def h(cls):\n"
+           "        cls.d, g.e = 3, 4\n"
+           "    g.f += 1\n")
+    assert _attribute_stores(src) == [(1, "<module>", "x.a"), (3, "f", "g.c"),
+                                      (5, "h", "g.e"), (6, "f", "g.f")]
+
+
+def test_patched_attributes():
+    found = []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module)) as fh:
+            found += [(module,) + s for s in _attribute_stores(fh.read())]
+    listing = "\n".join("%s:%d %s %s" % s for s in sorted(found))
+    assert sorted((m, owner, t) for m, _, owner, t in found) == PATCHED_ATTRIBUTES, \
+        listing

@@ -8,7 +8,8 @@ from lipforge.fn import ConstFn, DistFn, LinearFn, LipFn, RegionSwitchFn, ZeroFn
 from lipforge.regions import box_region, gen_four_corner
 from lipforge.smooth import (MollifierSpec, build_pou, c1_replace,
                              compact_selection, mollify, sla_assemble,
-                             smooth_around, uniform_diff_radius)
+                             smooth_around, smooth_region,
+                             uniform_diff_radius)
 from lipforge.spaces import lp_space
 from lipforge.verify import c1_check, fd_jacobian, lip_estimate
 
@@ -182,9 +183,10 @@ def test_smooth_around_certificates(l2_2, rng):
     g = smooth_around(E, Q, f, eps, seed=0)
     X = rng.uniform(-1, 2, (20000, 2))
     assert float(np.max(np.abs(g.eval(X) - f.eval(X)))) <= eps + 1e-12
-    bb = g.smooth_region.bbox()
+    H = smooth_region(E, Q)
+    bb = H.bbox()
     pts = rng.uniform(bb[0], bb[1], (60, 2))
-    pts = pts[g.smooth_region.contains(pts)][:20]
+    pts = pts[H.contains(pts)][:20]
     ok, worst, _ = c1_check(g, pts, steps=(1e-3, 5e-4))
     assert ok, worst
     est, _ = lip_estimate(g, Q, pairs=8000, seed=1, dom=l2_2, cod=lp_space(1, 2))

@@ -16,9 +16,11 @@ from lipforge.steep import (SteepSpec, bmgame_step_pu, build_psi_map,
 
 def test_steep_zero_functional(l2_2):
     P = Functional([0.0, 0.0], l2_2)
-    g = build_steep(SteepSpec(box_region([0, 0], [1, 1]), P, 0.3, 0.1))
+    spec = SteepSpec(box_region([0, 0], [1, 1]), P, 0.3, 0.1)
+    g = build_steep(spec)
     assert isinstance(g, ZeroFn)
-    assert g.gap == 0.0
+    _, gap = check_steep_properties(g, spec)
+    assert gap == 0.0
 
 
 def test_steep_empty_region(l2_2):
@@ -33,8 +35,9 @@ def test_steep_box_union_without_boxes(l2_2):
     G = BoxUnion(np.zeros((0, 2)), np.zeros((0, 2)))
     lo, hi = G.bbox()
     assert np.array_equal(lo, [0.0, 0.0]) and np.array_equal(hi, [0.0, 0.0])
-    g = build_steep(SteepSpec(G, Functional([1.0, 0.0], l2_2), 0.3, 0.1))
-    assert isinstance(g, ZeroFn) and g.gap == 0.0
+    spec = SteepSpec(G, Functional([1.0, 0.0], l2_2), 0.3, 0.1)
+    g = build_steep(spec)
+    assert isinstance(g, ZeroFn) and check_steep_properties(g, spec)[1] == 0.0
 
 
 def test_steep_strip_unit_increment(l2_2):
@@ -190,7 +193,7 @@ def test_steep_properties_within_gap(l2_2):
                  np.array([[0.4, 0.3], [0.9, 0.9]]))
     spec = SteepSpec(G, P, 0.35, 0.05)
     g = build_steep(spec)
-    props = check_steep_properties(g, spec, n=200, seed=1)
+    props, _ = check_steep_properties(g, spec, n=200, seed=1)
     for name, (res, bound) in props.items():
         assert res <= bound + 1e-9, (name, res, bound)
 
