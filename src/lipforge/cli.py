@@ -79,6 +79,15 @@ def _load_fn(path):
     return fn_from_file_doc(_load_doc(path))
 
 
+def _check_dims(d, *parts):
+    """The one dimension check of a subcommand, made where its documents
+    are loaded: each (name, dimension) in parts, a region, operator domain,
+    map, point or space, must match d, the width of the points it acts on."""
+    for name, m in parts:
+        if m != d:
+            raise InputError("points have %d coordinates; the %s has %d" % (d, name, m))
+
+
 def _write_json(path, doc):
     dump_path(doc, path)
 
@@ -127,7 +136,9 @@ def cmd_xi(args):
 
     G = _load_region(args.region)
     space = _space(args.space)
-    P = Functional(_vec(args.p), space)
+    p = _vec(args.p)
+    _check_dims(space.dim, ("region", G.dim), ("functional", len(p)))
+    P = Functional(p, space)
     value, gap, wit = xi_estimate(G, CurveSpec(P, args.alpha, args.grid, k=args.k))
     print("xi = %.9g  gap = %.9g  (witness %d nodes)" % (value, gap, len(wit)))
     if args.out:
@@ -141,7 +152,9 @@ def cmd_xi(args):
 def cmd_steep(args):
     G = _load_region(args.region)
     space = _space(args.space)
-    P = Functional(_vec(args.p), space)
+    p = _vec(args.p)
+    _check_dims(space.dim, ("region", G.dim), ("functional", len(p)))
+    P = Functional(p, space)
     spec = SteepSpec(G, P, args.alpha, args.grid)
     g = build_steep(spec)
     out = _outdir(args)
@@ -168,6 +181,7 @@ def cmd_pumap(args):
     E = _load_region(args.set)
     U = _load_region(args.u)
     T = _load_op(args.op)
+    _check_dims(E.dim, ("region", U.dim), ("space", T.dom.dim))
     g, H = build_pu_map(E, U, T, args.theta, cover_budget=args.budget,
                         seed=args.seed)
     cert = pu_map_certificate(g, H, U, T, args.theta, n_points=args.points,
@@ -193,9 +207,11 @@ def cmd_prescribe(args):
     Q = _load_region(args.q)
     E = _load_region(args.set)
     L = _load_op(args.op)
+    f = _load_fn(args.fn) if args.fn else None
+    _check_dims(E.dim, ("region", Q.dim), ("space", L.dom.dim),
+                *([("map", f.d)] if f else []))
     net = build_net(E, Q, args.kmax, space=L.dom)
     gamma = net.level(args.kmax)
-    f = _load_fn(args.fn) if args.fn else None
     if f is None:
         from .fn import ZeroFn
 
@@ -227,6 +243,7 @@ def cmd_game(args):
     E = _load_region(args.set)
     Q = _load_region(args.q)
     T = _load_op(args.op)
+    _check_dims(E.dim, ("region", Q.dim), ("space", T.dom.dim))
     policy_cls = POLICIES[args.policy]
     policy = policy_cls(T.dom, T.cod, Q, seed=args.seed)
     t = run_bm_game(E, Q, T, policy, args.rounds)
@@ -254,6 +271,7 @@ def cmd_smooth(args):
     f = _load_fn(args.fn)
     E = _load_region(args.set)
     Q = _load_region(args.q)
+    _check_dims(E.dim, ("region", Q.dim), ("map", f.d))
     g = smooth_around(E, Q, f, args.eps, seed=args.seed)
     out = _outdir(args)
     _write_fn(os.path.join(out, "g.json"), g)
@@ -304,6 +322,7 @@ def cmd_plot(args):
     else:
         f = _load_fn(args.fn)
         lo, hi = (_vec(t) for t in args.bbox.split(";"))
+        _check_dims(len(lo), ("upper corner", len(hi)), ("map", f.d))
         if not np.all(lo < hi):
             raise InputError("--bbox needs lo < hi on every axis")
         vals, bb = sample_fn(f, (lo, hi), args.res)

@@ -4,12 +4,26 @@ Every node evaluates vectorized over (N, d) float arrays.  Nodes whose
 formula is closed over rational arithmetic (linear maps, radial blends,
 local derivative surgery, l1 / linf / polyhedral norms) also support exact
 evaluation over Fractions, which is what makes the small-scale increment
-certificates immune to cancellation at microscopic radii.
+certificates immune to cancellation at microscopic radii.  A node builds its
+rationals once, when it is made.
+
+Exact surgery evaluation first rules out, in floats, the centers farther
+than s from the point.  It skips center c only when the float distance D~
+exceeds s + E, where
+
+    E = (gamma_{d-1} (1 + u) + 3 u) L M + ((1 + gamma_{d-1}) d + L) eta / 2
+
+is a proven bound on D~ - ||x - c||: u = 2^-53, eta = 2^-1074, gamma_n =
+n u / (1 - n u), L the norm's maximum on the cube [-1, 1]^d and M a float
+bound on max |x_i| + max |c_i| (derived at LocalAffineSurgeryFn.eval_exact).
+A skipped center is one the exact test passes over, so the pre-pass never
+changes a bit.
 
 Nodes carry an optional certified Lipschitz upper bound `lip_bound`
 (None when no bound is proved for the construction).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +47,19 @@ def as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     return Fraction(float(v))
+
+
+_U = Fraction(1, 2 ** 53)      # unit roundoff of binary64
+_ETA = Fraction(1, 2 ** 1074)  # its least subnormal
+
+
+def _float_up(q) -> float:
+    """The least float >= the rational q (inf above float range)."""
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
 
 
 class LipFn:
@@ -108,12 +135,13 @@ class ConstFn(LipFn):
         vec = np.asarray(vec, dtype=float).ravel()
         super().__init__(d, len(vec))
         self.vec = vec
+        self._vec_q = [as_fraction(v) for v in vec]
 
     def eval(self, X):
         return np.tile(self.vec, (len(X), 1))
 
     def eval_exact(self, x):
-        return [as_fraction(v) for v in self.vec]
+        return list(self._vec_q)
 
 
 @register
@@ -128,13 +156,13 @@ class LinearFn(LipFn):
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
         self.lip_bound = lip_bound
+        self._rows = [[as_fraction(v) for v in r] for r in m]
 
     def eval(self, X):
         return X @ self.matrix.T
 
     def eval_exact(self, x):
-        rows = [[as_fraction(v) for v in r] for r in self.matrix]
-        return [sum(a * xi for a, xi in zip(r, x)) for r in rows]
+        return [sum(a * xi for a, xi in zip(r, x)) for r in self._rows]
 
 
 @register
@@ -154,6 +182,7 @@ class SumFn(LipFn):
                 raise InputError("sum terms must share shape")
         self.terms = list(terms)
         self.coeffs = coeffs
+        self._coeffs_q = [as_fraction(c) for c in coeffs]
         lips = [t.lip_bound for t in terms]
         if all(v is not None for v in lips):
             self.lip_bound = float(sum(abs(c) * v for c, v in zip(coeffs, lips)))
@@ -166,8 +195,7 @@ class SumFn(LipFn):
 
     def eval_exact(self, x):
         acc = [Fraction(0)] * self.l
-        for c, t in zip(self.coeffs, self.terms):
-            cf = as_fraction(c)
+        for cf, t in zip(self._coeffs_q, self.terms):
             for i, v in enumerate(t.eval_exact(x)):
                 acc[i] += cf * v
         return acc
@@ -187,14 +215,15 @@ class DistFn(LipFn):
         self.space = space
         self.center = np.asarray(center, dtype=float).ravel()
         self.offset = float(space.norm(-self.center)) if offset is None else float(offset)
+        self._center_q = [as_fraction(v) for v in self.center]
+        self._offset_q = as_fraction(self.offset)
 
     def eval(self, X):
         return (self.space.norm(X - self.center) - self.offset).reshape(-1, 1)
 
     def eval_exact(self, x):
-        c = [as_fraction(v) for v in self.center]
-        w = [xi - ci for xi, ci in zip(x, c)]
-        return [self.space.norm_exact(w) - as_fraction(self.offset)]
+        w = [xi - ci for xi, ci in zip(x, self._center_q)]
+        return [self.space.norm_exact(w) - self._offset_q]
 
 
 @register
@@ -212,13 +241,14 @@ class OuterFn(LipFn):
         self.scalar = scalar
         self.w = w
         self.lip_bound = lip_bound
+        self._w_q = [as_fraction(v) for v in w]
 
     def eval(self, X):
         return self.scalar.eval(X) * self.w[None, :]
 
     def eval_exact(self, x):
         s = self.scalar.eval_exact(x)[0]
-        return [s * as_fraction(v) for v in self.w]
+        return [s * v for v in self._w_q]
 
 
 @register
@@ -260,6 +290,7 @@ class BlendFn(LipFn):
         self.lip1, self.lip2 = lip1, lip2
         if lip1 is not None and lip2 is not None and lip1 + lip2 <= 1.0 + 1e-12:
             self.lip_bound = 1.0 + self.a / (self.b - self.a)
+        self._ab_q = as_fraction(self.a), as_fraction(self.b)
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -281,7 +312,7 @@ class BlendFn(LipFn):
 
     def eval_exact(self, x):
         n = self.space.norm_exact(x)
-        a, b = as_fraction(self.a), as_fraction(self.b)
+        a, b = self._ab_q
         if n <= a:
             return self.f1.eval_exact(x)
         if n >= b:
@@ -330,6 +361,14 @@ class LocalAffineSurgeryFn(LipFn):
         self.lip_bound = lip_bound
         self.s_f, self.beta_f, self.alpha_f = float(self.s), float(self.beta), float(self.alpha)
         self.scale_f = float(self.scale)
+        self._centers_q = [[as_fraction(v) for v in c] for c in centers]
+        if space.exact_capable:
+            # the far-center margin of eval_exact: lim = s + rel M + abs
+            d, L = space.dim, space.cube_bound()
+            g = (d - 1) * _U / (1 - (d - 1) * _U)
+            self._rel = _float_up((g * (1 + _U) + 3 * _U) * L)
+            self._lim0 = _float_up(self.s + ((1 + g) * d + L) * _ETA / 2)
+            self._cmax = float(np.max(np.abs(centers), initial=0.0))
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -361,9 +400,45 @@ class LocalAffineSurgeryFn(LipFn):
         return self.scale_f * out
 
     def eval_exact(self, x):
+        """Exact value at x, a sequence of Fractions: the first center, in
+        center order, within s of x takes the surgery.  Only the centers
+        that a float pre-pass cannot place beyond s are tested exactly.
+
+        The pre-pass bound.  Let u = 2^-53, eta = 2^-1074 and gamma_n =
+        n u / (1 - n u).  Rounding to nearest gives fl(v) = v (1 + delta) + e,
+        |delta| <= u, |e| <= eta / 2, with e = 0 for a sum or difference of
+        floats (exact when subnormal).  Each exact-capable norm is
+        ||z|| = max_j a_j . z over finitely many rows a_j (the functionals;
+        +-w_i e_i for linf; w times the sign vectors for l1), and
+        L = space.cube_bound() >= sum_i |a_ji|, so ||z|| <= L max_i |z_i|.
+        The pre-pass rounds x to xh = float(x) (Python rounds a Fraction
+        correctly: |x_i - xh_i| <= u |xh_i| + eta / 2), forms yh = xh - c in
+        floats (|yh_i - (xh_i - c_i)| <= u |yh_i|) and takes D~ =
+        space.norm(yh).  For the row a_j that attains it, D~ is a sum of at
+        most d products fl(a_ji yh_i) (exact when unweighted; the weights of
+        a weighted l1 norm are w ** 1.0 = w), added in some order, so
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2)
+            |D~ - a_j . yh| <= (gamma_{d-1} (1 + u) + u) sum_i |a_ji yh_i|
+                               + (1 + gamma_{d-1}) d eta / 2.
+        M = fl(max |xh| + max |c|) bounds every |xh_i| and |yh_i|, as
+        rounding is monotone, so
+            ||x - c|| >= a_j . yh - ||yh - (xh - c)|| - ||xh - x|| >= D~ - E,
+            E = (gamma_{d-1} (1 + u) + 3 u) L M + ((1 + gamma_{d-1}) d + L) eta / 2.
+        A center is skipped only when D~ > lim >= s + E, so ||x - c|| > s,
+        and the exact test below would pass it over.  lim adds rationals
+        rounded up (_lim0 >= s + the eta term, _rel >= the factor of M) in
+        floats, each step rounded and then moved one float up, which bounds
+        the real sum from above.  As in Shewchuk's adaptive predicates
+        (Discrete Comput. Geom. 18, 1997), floats decide only where the
+        bound proves the answer.  The bound assumes no overflow: an x that
+        float() cannot convert keeps every center, a NaN or infinite D~ its
+        own, and an infinite M gives lim = inf.
+        """
+        if not self.space.exact_capable:
+            raise ExactEvalUnsupported("exact norm needs l1 / linf / polyhedral descriptor")
         s, b, a = self.s, self.beta, self.alpha
-        for c in self.centers:
-            cf = [as_fraction(v) for v in c]
+        for k in self._near_centers(x):
+            cf = self._centers_q[k]
             w = [xi - ci for xi, ci in zip(x, cf)]
             dd = self.space.norm_exact(w)
             if dd >= s:
@@ -380,6 +455,18 @@ class LocalAffineSurgeryFn(LipFn):
             return [self.scale * v for v in vals]
         vals = self.f.eval_exact(x)
         return [self.scale * v for v in vals]
+
+    def _near_centers(self, x):
+        """Indices, in order, of the centers that eval_exact's float bound
+        cannot place farther than s from x."""
+        try:
+            xh = [float(v) for v in x]
+        except OverflowError:
+            return range(len(self.centers))
+        m = max(map(abs, xh)) + self._cmax
+        lim = math.nextafter(self._lim0 + math.nextafter(self._rel * m, math.inf), math.inf)
+        dist = self.space.norm(np.subtract(xh, self.centers))
+        return np.flatnonzero(~((dist > lim) & (dist < math.inf)))
 
 
 @register

@@ -355,8 +355,9 @@ def test_exit_code_unbounded_region(files, tmp_path, argv):
     assert not out.exists()
 
 
-# a 3-d box around the 2-d set, or a 3-d operator on it: the region or the
-# space refuses the 2-d points, exit 2
+# a 3-d box, operator or map around the 2-d set or functional: each
+# subcommand's one dimension check refuses it where the documents are
+# loaded, exit 2
 @pytest.mark.parametrize("argv, message", [
     (["game", "--set", "{E}", "--q", "{Q3}", "--op", "{op_inf}",
       "--rounds", "2"], "the region has 3"),
@@ -364,6 +365,17 @@ def test_exit_code_unbounded_region(files, tmp_path, argv):
       "--s", "0.05", "--kmax", "1"], "the region has 3"),
     (["prescribe", "--q", "{Q}", "--set", "{E}", "--op", "{op3}", "--r", "0.4",
       "--s", "0.05", "--kmax", "1"], "the space has 3"),
+    (["xi", "--region", "{Q3}", "--p", "1,0", "--alpha", "0.4",
+      "--grid", "0.25"], "the region has 3"),
+    (["steep", "--region", "{Q3}", "--p", "1,0", "--alpha", "0.4",
+      "--grid", "0.25"], "the region has 3"),
+    (["pumap", "--set", "{E}", "--u", "{Q3}", "--op", "{op}", "--theta", "0.3"],
+     "the region has 3"),
+    (["smooth", "--fn", "{dist}", "--set", "{E}", "--q", "{Q3}", "--eps", "0.1"],
+     "the region has 3"),
+    (["smooth", "--fn", "{dist3}", "--set", "{E}", "--q", "{Q}", "--eps", "0.1"],
+     "the map has 3"),
+    (["plot", "--fn", "{dist3}", "--bbox", "0,0;1,1"], "the map has 3"),
 ])
 def test_exit_code_dimension_mismatch(files, tmp_path, capsys, argv, message):
     files["Q3"] = str(tmp_path / "Q3.json")
@@ -371,6 +383,8 @@ def test_exit_code_dimension_mismatch(files, tmp_path, capsys, argv, message):
     files["op3"] = str(tmp_path / "op3.json")
     l2_3 = lp_space(3, 2)
     dump_path(LinOp.build(0.3 * np.eye(3), l2_3, l2_3).to_doc(), files["op3"])
+    files["dist3"] = str(tmp_path / "dist3.json")
+    dump_path(fn_to_file_doc(DistFn(l2_3, np.full(3, 0.5))), files["dist3"])
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
     assert run_cli(argv) == 2
     assert "points have 2 coordinates; " + message in capsys.readouterr().err

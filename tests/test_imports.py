@@ -4,7 +4,8 @@ Every name a module imports is used in that module.  No linter ships with
 the toolchain, so this walks each module's AST: an imported name counts as
 used when it appears as a name anywhere else in the module (a bare name or
 the base of an attribute access). __init__.py is left out: its imports are
-the package's public names.
+the package's public names.  Importing the CLI loads neither
+scipy.optimize nor scipy.spatial: the functions that need them import them.
 
 The library holds at most SETTABLE_DEFAULTS settable defaults: keyword
 defaults of functions and lambdas plus dataclass fields with a default,
@@ -18,6 +19,8 @@ Lipschitz claims of two assembled maps, listed in PATCHED_ATTRIBUTES.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +152,12 @@ def test_patched_attributes():
     listing = "\n".join("%s:%d %s %s" % s for s in sorted(found))
     assert sorted((m, owner, t) for m, _, owner, t in found) == PATCHED_ATTRIBUTES, \
         listing
+
+
+def test_cli_import_leaves_scipy_optimize_and_spatial_unloaded():
+    code = ("import sys, lipforge.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.spatial'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

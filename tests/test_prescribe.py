@@ -1,14 +1,17 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lipforge.errors import GeometryError, NormError
-from lipforge.fn import ZeroFn, as_fraction
+from lipforge.errors import ExactEvalUnsupported, GeometryError, NormError
+from lipforge.fn import LinearFn, LocalAffineSurgeryFn, ZeroFn, as_fraction
+from lipforge.game import IdentityPolicy, certify_transcript, run_bm_game
 from lipforge.prescribe import (build_net, prescribe_derivative,
                                 prescription_params, region_diameter)
 from lipforge.regions import box_region, gen_four_corner
-from lipforge.spaces import LinOp, lp_space
+from lipforge.spaces import LinOp, NormedSpace, lp_space
 from lipforge.verify import lip_estimate
 
 
@@ -115,3 +118,128 @@ def test_build_net_nested_and_separated(l2_2):
 def test_region_diameter(l2_2):
     Q = box_region([0.0, 0.0], [3.0, 4.0])
     assert region_diameter(Q, l2_2) == pytest.approx(5.0)
+
+
+HEXAGON = [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [-0.5, math.sqrt(3.0) / 2.0]]
+
+
+def _eval_exact_every_center(g, x):
+    """Reference: eval_exact with every center tested in rationals, in
+    center order, as before the float pre-pass."""
+    s, b, a = g.s, g.beta, g.alpha
+    for c in g.centers:
+        cf = [as_fraction(v) for v in c]
+        w = [xi - ci for xi, ci in zip(x, cf)]
+        dd = g.space.norm_exact(w)
+        if dd >= s:
+            continue
+        if dd > b:
+            t = s * (dd - b) / (dd * (s - b))
+            vals = g.f.eval_exact([ci + t * wi for ci, wi in zip(cf, w)])
+        else:
+            lam = Fraction(1) if dd <= a else (b - dd) / (b - a)
+            tv = [sum(r[j] * w[j] for j in range(g.d)) for r in g.T_exact]
+            vals = [fv + lam * t for fv, t in zip(g.f.eval_exact(cf), tv)]
+        return [g.scale * v for v in vals]
+    return [g.scale * v for v in g.f.eval_exact(x)]
+
+
+def _around(r):
+    """r, r (1 -+ 2^-52), and the floats just below and above r when r lies
+    in float range."""
+    out = [r, r * (1 - Fraction(1, 2 ** 52)), r * (1 + Fraction(1, 2 ** 52))]
+    f = float(r)
+    if f > 0.0:
+        lo, hi = (f, math.nextafter(f, math.inf)) if Fraction(f) < r else (
+            math.nextafter(f, 0.0), f)
+        out += [Fraction(math.nextafter(lo, 0.0)), Fraction(lo), Fraction(hi),
+                Fraction(math.nextafter(hi, math.inf))]
+    return out
+
+
+def _surgery(space, s):
+    centers = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.3, 0.45]])
+    f = LinearFn([[0.3, 0.1], [-0.2, 0.4]])
+    return LocalAffineSurgeryFn(f, centers, s, s / 3, s / 7,
+                                [[0.1, 0.2], [0.0, -0.3]], space)
+
+
+@pytest.mark.parametrize("space", [
+    lp_space(2, 1), lp_space(2, "inf"),
+    NormedSpace(2, {"kind": "weighted-lp", "p": 1, "weights": [2.0, 0.3]}),
+    NormedSpace(2, {"kind": "polyhedral", "vertices": HEXAGON}),
+], ids=["l1", "linf", "weighted-l1", "hexagon"])
+@pytest.mark.parametrize("s", [Fraction(1, 10), Fraction(1, 3 * 2 ** 1200)],
+                         ids=["s-float", "s-below-float-range"])
+def test_surgery_filter_matches_every_center_reference(space, s):
+    # points on and one ulp either side of the s, beta and alpha spheres of
+    # a center: the float pre-pass must leave every value as it was
+    g = _surgery(space, s)
+    if s < Fraction(1, 2 ** 1100):
+        assert float(g.s) == 0.0
+    dirs = [[Fraction(1), Fraction(1, 3)], [Fraction(-2, 7), Fraction(5)],
+            [Fraction(0), Fraction(-1)]]
+    n = 0
+    for c in g.centers[[0, 3]]:
+        cf = [as_fraction(v) for v in c]
+        for v in dirs:
+            nv = space.norm_exact(v)
+            for r in (g.s, g.beta, g.alpha):
+                for rr in _around(r):
+                    x = [ci + rr * vi / nv for ci, vi in zip(cf, v)]
+                    assert space.norm_exact([xi - ci for xi, ci in zip(x, cf)]) == rr
+                    assert g.eval_exact(x) == _eval_exact_every_center(g, x)
+                    n += 1
+    assert n >= 2 * 3 * 3 * 3
+
+
+def test_surgery_filter_keeps_every_center_past_float_range():
+    # x beyond float range keeps every center: here the last one, whose
+    # core ball reaches past the largest float, takes the surgery
+    big = np.finfo(float).max
+    centers = np.array([[0.0, 0.0], [big, 0.0]])
+    s = Fraction(2 ** 1000)
+    g = LocalAffineSurgeryFn(LinearFn([[0.3, 0.1], [-0.2, 0.4]]), centers, s,
+                             s / 3, s / 7, [[0.1, 0.2], [0.0, -0.3]],
+                             lp_space(2, "inf"))
+    for x in ([Fraction(2 ** 1024), Fraction(0)], [Fraction(big), Fraction(0)],
+              [Fraction(3, 40), Fraction(2 ** 1100)]):
+        assert g.eval_exact(x) == _eval_exact_every_center(g, x)
+    x = [Fraction(2 ** 1024), Fraction(0)]
+    with pytest.raises(OverflowError):
+        float(x[0])
+    want = g.scale * (g.f.eval_exact([Fraction(big), Fraction(0)])[0]
+                      + g.T_exact[0][0] * (x[0] - Fraction(big)))
+    assert g.eval_exact(x)[0] == want
+
+
+def test_surgery_on_l2_refuses_exact_evaluation():
+    g = _surgery(lp_space(2, 2), Fraction(1, 10))
+    with pytest.raises(ExactEvalUnsupported):
+        g.eval_exact([Fraction(40), Fraction(-40)])
+
+
+def test_game_certificate_takes_one_exact_norm_per_surgery_evaluation(monkeypatch):
+    # the float pre-pass leaves at most one center to test exactly, as the
+    # centers are 4s-separated; dropping it would test them all
+    dom = lp_space(2, "inf")
+    Q = box_region([-1.0, -1.0], [2.0, 2.0])
+    T = LinOp.build(np.array([[0.4, 0.0], [0.0, -0.3]]), dom, dom)
+    t = run_bm_game(gen_four_corner(1), Q, T, IdentityPolicy(dom, dom, Q, seed=1), 2)
+    surgery_code = LocalAffineSurgeryFn.eval_exact.__code__
+    eval_exact, norm_exact = LocalAffineSurgeryFn.eval_exact, NormedSpace.norm_exact
+    calls = {"eval": 0, "norm": 0}
+
+    def counted_eval(self, x):
+        calls["eval"] += 1
+        return eval_exact(self, x)
+
+    def counted_norm(self, x):
+        calls["norm"] += sys._getframe(1).f_code is surgery_code
+        return norm_exact(self, x)
+
+    monkeypatch.setattr(LocalAffineSurgeryFn, "eval_exact", counted_eval)
+    monkeypatch.setattr(NormedSpace, "norm_exact", counted_norm)
+    certify_transcript(t, dirs=4, seed=0)
+    assert calls["eval"] > 100
+    assert 0 < calls["norm"] <= calls["eval"]
