@@ -5,7 +5,7 @@ formula is closed over rational arithmetic (linear maps, radial blends,
 local derivative surgery, l1 / linf / polyhedral norms) also support exact
 evaluation over Fractions, which is what makes the small-scale increment
 certificates immune to cancellation at microscopic radii.  A node builds its
-rationals once, when it is made.
+rationals once, at its first exact evaluation.
 
 Exact surgery evaluation first rules out, in floats, the centers farther
 than s from the point.  It skips center c only when the float distance D~
@@ -23,6 +23,7 @@ Nodes carry an optional certified Lipschitz upper bound `lip_bound`
 (None when no bound is proved for the construction).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -46,7 +47,10 @@ def register(cls):
 def as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    return Fraction(float(v))
+    f = float(v)
+    if not math.isfinite(f):
+        raise InputError("%r has no exact rational value" % f)
+    return Fraction(f)
 
 
 _U = Fraction(1, 2 ** 53)      # unit roundoff of binary64
@@ -135,7 +139,10 @@ class ConstFn(LipFn):
         vec = np.asarray(vec, dtype=float).ravel()
         super().__init__(d, len(vec))
         self.vec = vec
-        self._vec_q = [as_fraction(v) for v in vec]
+
+    @functools.cached_property
+    def _vec_q(self):
+        return [as_fraction(v) for v in self.vec]
 
     def eval(self, X):
         return np.tile(self.vec, (len(X), 1))
@@ -156,7 +163,10 @@ class LinearFn(LipFn):
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
         self.lip_bound = lip_bound
-        self._rows = [[as_fraction(v) for v in r] for r in m]
+
+    @functools.cached_property
+    def _rows(self):
+        return [[as_fraction(v) for v in r] for r in self.matrix]
 
     def eval(self, X):
         return X @ self.matrix.T
@@ -182,10 +192,13 @@ class SumFn(LipFn):
                 raise InputError("sum terms must share shape")
         self.terms = list(terms)
         self.coeffs = coeffs
-        self._coeffs_q = [as_fraction(c) for c in coeffs]
         lips = [t.lip_bound for t in terms]
         if all(v is not None for v in lips):
             self.lip_bound = float(sum(abs(c) * v for c, v in zip(coeffs, lips)))
+
+    @functools.cached_property
+    def _coeffs_q(self):
+        return [as_fraction(c) for c in self.coeffs]
 
     def eval(self, X):
         out = self.coeffs[0] * self.terms[0].eval(X)
@@ -215,15 +228,17 @@ class DistFn(LipFn):
         self.space = space
         self.center = np.asarray(center, dtype=float).ravel()
         self.offset = float(space.norm(-self.center)) if offset is None else float(offset)
-        self._center_q = [as_fraction(v) for v in self.center]
-        self._offset_q = as_fraction(self.offset)
+
+    @functools.cached_property
+    def _center_q(self):
+        return [as_fraction(v) for v in self.center]
 
     def eval(self, X):
         return (self.space.norm(X - self.center) - self.offset).reshape(-1, 1)
 
     def eval_exact(self, x):
         w = [xi - ci for xi, ci in zip(x, self._center_q)]
-        return [self.space.norm_exact(w) - self._offset_q]
+        return [self.space.norm_exact(w) - as_fraction(self.offset)]
 
 
 @register
@@ -241,7 +256,10 @@ class OuterFn(LipFn):
         self.scalar = scalar
         self.w = w
         self.lip_bound = lip_bound
-        self._w_q = [as_fraction(v) for v in w]
+
+    @functools.cached_property
+    def _w_q(self):
+        return [as_fraction(v) for v in self.w]
 
     def eval(self, X):
         return self.scalar.eval(X) * self.w[None, :]
@@ -290,7 +308,6 @@ class BlendFn(LipFn):
         self.lip1, self.lip2 = lip1, lip2
         if lip1 is not None and lip2 is not None and lip1 + lip2 <= 1.0 + 1e-12:
             self.lip_bound = 1.0 + self.a / (self.b - self.a)
-        self._ab_q = as_fraction(self.a), as_fraction(self.b)
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -312,7 +329,7 @@ class BlendFn(LipFn):
 
     def eval_exact(self, x):
         n = self.space.norm_exact(x)
-        a, b = self._ab_q
+        a, b = as_fraction(self.a), as_fraction(self.b)
         if n <= a:
             return self.f1.eval_exact(x)
         if n >= b:
@@ -361,14 +378,20 @@ class LocalAffineSurgeryFn(LipFn):
         self.lip_bound = lip_bound
         self.s_f, self.beta_f, self.alpha_f = float(self.s), float(self.beta), float(self.alpha)
         self.scale_f = float(self.scale)
-        self._centers_q = [[as_fraction(v) for v in c] for c in centers]
-        if space.exact_capable:
-            # the far-center margin of eval_exact: lim = s + rel M + abs
-            d, L = space.dim, space.cube_bound()
-            g = (d - 1) * _U / (1 - (d - 1) * _U)
-            self._rel = _float_up((g * (1 + _U) + 3 * _U) * L)
-            self._lim0 = _float_up(self.s + ((1 + g) * d + L) * _ETA / 2)
-            self._cmax = float(np.max(np.abs(centers), initial=0.0))
+
+    @functools.cached_property
+    def _centers_q(self):
+        return [[as_fraction(v) for v in c] for c in self.centers]
+
+    @functools.cached_property
+    def _margin(self):
+        """(_lim0, _rel, max |c|) of eval_exact's far-center test, whose
+        limit is lim = _lim0 + _rel M."""
+        d, L = self.space.dim, self.space.cube_bound()
+        g = (d - 1) * _U / (1 - (d - 1) * _U)
+        return (_float_up(self.s + ((1 + g) * d + L) * _ETA / 2),
+                _float_up((g * (1 + _U) + 3 * _U) * L),
+                float(np.max(np.abs(self.centers), initial=0.0)))
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -463,8 +486,9 @@ class LocalAffineSurgeryFn(LipFn):
             xh = [float(v) for v in x]
         except OverflowError:
             return range(len(self.centers))
-        m = max(map(abs, xh)) + self._cmax
-        lim = math.nextafter(self._lim0 + math.nextafter(self._rel * m, math.inf), math.inf)
+        lim0, rel, cmax = self._margin
+        m = max(map(abs, xh)) + cmax
+        lim = math.nextafter(lim0 + math.nextafter(rel * m, math.inf), math.inf)
         dist = self.space.norm(np.subtract(xh, self.centers))
         return np.flatnonzero(~((dist > lim) & (dist < math.inf)))
 

@@ -31,17 +31,6 @@ def _as_matrix(rows):
     return m
 
 
-def _row_sum(Z):
-    """Row sums of an (N, d) array.  For d = 2 the column form, which gives
-    the axis-1 reduction's bits at about a tenth of its cost."""
-    return Z[:, 0] + Z[:, 1] if Z.shape[1] == 2 else np.sum(Z, axis=1)
-
-
-def _row_max(Z):
-    """Row maxima of an (N, d) array, in column form for d = 2."""
-    return np.maximum(Z[:, 0], Z[:, 1]) if Z.shape[1] == 2 else np.max(Z, axis=1)
-
-
 def _dedupe_rows(m):
     """The rows of m, each dropped that lies within 1e-12 (max norm) of one
     kept before it."""
@@ -152,12 +141,12 @@ class NormedSpace:
             Y = X if self._weights is None else X * self._scale_vec()
             p = self._p
             if np.isinf(p):
-                out = _row_max(np.abs(Y))
+                out = np.max(np.abs(Y), axis=1)
             elif p == 1:
-                out = _row_sum(np.abs(Y))
+                out = np.sum(np.abs(Y), axis=1)
             else:
                 def power_sum(Z):  # squares for p = 2: the Euclidean formula's bits
-                    return _row_sum(Z * Z if p == 2 else np.abs(Z) ** p)
+                    return np.sum(Z * Z if p == 2 else np.abs(Z) ** p, axis=1)
 
                 def root(s):
                     return np.sqrt(s) if p == 2 else s ** (1.0 / p)

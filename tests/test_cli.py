@@ -258,6 +258,18 @@ def test_exit_code_config_errors(files, tmp_path):
     assert run_cli(["plot", "--fn", files["fn"], "--bbox", "1,1;0,0",
                     "--out", str(tmp_path / "x.svg")]) == 2
     assert not os.path.exists(tmp_path / "x.svg")
+    # a map document with a non-finite entry, drawn and checked exactly
+    for v in ("inf", "nan"):
+        doc = fn_to_file_doc(LinearFn(np.eye(2)))
+        doc["dag"]["matrix"][0][0] = v
+        bad = str(tmp_path / (v + ".json"))
+        dump_path(doc, bad)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the float drawing
+            assert run_cli(["plot", "--fn", bad, "--bbox", "0,0;1,1",
+                            "--out", str(tmp_path / "x.svg")]) == 2
+        assert run_cli(["verify", "--fn", bad, "--point", "0.1,0.1",
+                        "--ops", files["op_inf"], "--scales", "0.1",
+                        "--exact"]) == 2
     # scan radii that are not positive and finite, in float and exact mode
     for scales in ("-0.1", "0", "inf", "nan", "0.1,-0.1"):
         for exact in ([], ["--exact"]):

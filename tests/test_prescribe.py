@@ -228,18 +228,23 @@ def test_game_certificate_takes_one_exact_norm_per_surgery_evaluation(monkeypatc
     t = run_bm_game(gen_four_corner(1), Q, T, IdentityPolicy(dom, dom, Q, seed=1), 2)
     surgery_code = LocalAffineSurgeryFn.eval_exact.__code__
     eval_exact, norm_exact = LocalAffineSurgeryFn.eval_exact, NormedSpace.norm_exact
-    calls = {"eval": 0, "norm": 0}
+    open_calls = []  # exact norms taken by each surgery eval_exact still running
+    per_call = []
 
     def counted_eval(self, x):
-        calls["eval"] += 1
-        return eval_exact(self, x)
+        open_calls.append(0)
+        try:
+            return eval_exact(self, x)
+        finally:
+            per_call.append(open_calls.pop())
 
     def counted_norm(self, x):
-        calls["norm"] += sys._getframe(1).f_code is surgery_code
+        if sys._getframe(1).f_code is surgery_code:
+            open_calls[-1] += 1
         return norm_exact(self, x)
 
     monkeypatch.setattr(LocalAffineSurgeryFn, "eval_exact", counted_eval)
     monkeypatch.setattr(NormedSpace, "norm_exact", counted_norm)
     certify_transcript(t, dirs=4, seed=0)
-    assert calls["eval"] > 100
-    assert 0 < calls["norm"] <= calls["eval"]
+    assert len(per_call) > 100
+    assert max(per_call) == 1

@@ -304,21 +304,6 @@ def test_l2_norm_keeps_in_range_bits(rows):
     assert got == pytest.approx(np.hypot(Y[:, 0], Y[:, 1]), rel=1e-15, abs=1e-300)
 
 
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=1, max_size=20),
-       weights=st.tuples(*[st.floats(0.25, 4.0)] * 2))
-def test_l1_linf_norms_keep_axis_reduction_bits(rows, weights):
-    # the d = 2 column forms give the bits of NumPy's axis-1 reductions
-    Y = np.array(rows)
-    for sp, W in ((lp_space(2, 1), Y), (lp_space(2, "inf"), Y),
-                  (NormedSpace(2, {"kind": "weighted-lp", "p": 1, "weights": weights}),
-                   Y * np.array(weights)),
-                  (NormedSpace(2, {"kind": "weighted-lp", "p": "inf", "weights": weights}),
-                   Y * np.array(weights))):
-        reduce = np.max if np.isinf(sp._p) else np.sum
-        assert np.array_equal(sp.norm(Y), reduce(np.abs(W), axis=1)), sp
-
-
 @st.composite
 def _spaces(draw, d):
     kind = draw(st.sampled_from(("lp", "weighted-lp", "polyhedral")))
