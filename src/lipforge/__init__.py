@@ -32,8 +32,7 @@ from .regions import (  # noqa: F401
     pu_cover,
     xi_estimate,
 )
-from .fn import LipFn  # noqa: F401
-from .blend import BlendSpec  # noqa: F401
+from .fn import BlendFn, LipFn  # noqa: F401
 from .prescribe import build_net, prescribe_derivative  # noqa: F401
 from .game import certify_transcript, multi_operator_run, run_bm_game  # noqa: F401
 from .steep import (  # noqa: F401

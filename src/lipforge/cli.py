@@ -53,30 +53,16 @@ def _space(text):
     return lp_space(int(dim), p)
 
 
-def _load_doc(path):
+def _load(path, decode):
+    """decode(the JSON object at path); a TypeError, IndexError or
+    AttributeError raised while decoding is a malformed document."""
     doc = load_path(path)
     if not isinstance(doc, dict):
         raise InputError("%s: the top level must be a JSON object" % path)
-    return doc
-
-
-def _load_region(path):
-    return Region.from_doc(_load_doc(path))
-
-
-def _load_op(path):
-    return LinOp.from_doc(_load_doc(path))
-
-
-def _load_ops(path):
-    doc = _load_doc(path)
-    if "ops" in doc:
-        return [LinOp.from_doc(d) for d in doc["ops"]]
-    return [LinOp.from_doc(doc)]
-
-
-def _load_fn(path):
-    return fn_from_file_doc(_load_doc(path))
+    try:
+        return decode(doc)
+    except (TypeError, IndexError, AttributeError) as e:
+        raise InputError("%s: malformed document: %s" % (path, e)) from e
 
 
 def _check_dims(d, *parts):
@@ -120,7 +106,7 @@ def cmd_cantor(args):
 
 
 def cmd_cyl(args):
-    T = _load_op(args.op)
+    T = _load(args.op, LinOp.from_doc)
     value = cyl_constant(T, budget=args.budget, seed=args.seed)
     print("cyl(T) = %.12g  (||T|| in [%.12g, %.12g])"
           % (value, T.opnorm_lb, T.opnorm_ub))
@@ -134,7 +120,7 @@ def cmd_cyl(args):
 def cmd_xi(args):
     from .regions import CurveSpec, xi_estimate
 
-    G = _load_region(args.region)
+    G = _load(args.region, Region.from_doc)
     space = _space(args.space)
     p = _vec(args.p)
     _check_dims(space.dim, ("region", G.dim), ("functional", len(p)))
@@ -150,7 +136,7 @@ def cmd_xi(args):
 
 
 def cmd_steep(args):
-    G = _load_region(args.region)
+    G = _load(args.region, Region.from_doc)
     space = _space(args.space)
     p = _vec(args.p)
     _check_dims(space.dim, ("region", G.dim), ("functional", len(p)))
@@ -178,9 +164,9 @@ def cmd_steep(args):
 
 
 def cmd_pumap(args):
-    E = _load_region(args.set)
-    U = _load_region(args.u)
-    T = _load_op(args.op)
+    E = _load(args.set, Region.from_doc)
+    U = _load(args.u, Region.from_doc)
+    T = _load(args.op, LinOp.from_doc)
     _check_dims(E.dim, ("region", U.dim), ("space", T.dom.dim))
     g, H = build_pu_map(E, U, T, args.theta, cover_budget=args.budget,
                         seed=args.seed)
@@ -204,10 +190,10 @@ def cmd_pumap(args):
 
 
 def cmd_prescribe(args):
-    Q = _load_region(args.q)
-    E = _load_region(args.set)
-    L = _load_op(args.op)
-    f = _load_fn(args.fn) if args.fn else None
+    Q = _load(args.q, Region.from_doc)
+    E = _load(args.set, Region.from_doc)
+    L = _load(args.op, LinOp.from_doc)
+    f = _load(args.fn, fn_from_file_doc) if args.fn else None
     _check_dims(E.dim, ("region", Q.dim), ("space", L.dom.dim),
                 *([("map", f.d)] if f else []))
     net = build_net(E, Q, args.kmax, space=L.dom)
@@ -240,9 +226,9 @@ def cmd_prescribe(args):
 
 
 def cmd_game(args):
-    E = _load_region(args.set)
-    Q = _load_region(args.q)
-    T = _load_op(args.op)
+    E = _load(args.set, Region.from_doc)
+    Q = _load(args.q, Region.from_doc)
+    T = _load(args.op, LinOp.from_doc)
     _check_dims(E.dim, ("region", Q.dim), ("space", T.dom.dim))
     policy_cls = POLICIES[args.policy]
     policy = policy_cls(T.dom, T.cod, Q, seed=args.seed)
@@ -268,9 +254,9 @@ def cmd_game(args):
 
 
 def cmd_smooth(args):
-    f = _load_fn(args.fn)
-    E = _load_region(args.set)
-    Q = _load_region(args.q)
+    f = _load(args.fn, fn_from_file_doc)
+    E = _load(args.set, Region.from_doc)
+    Q = _load(args.q, Region.from_doc)
     _check_dims(E.dim, ("region", Q.dim), ("map", f.d))
     g = smooth_around(E, Q, f, args.eps, seed=args.seed)
     out = _outdir(args)
@@ -291,8 +277,8 @@ def cmd_smooth(args):
 
 
 def cmd_verify(args):
-    f = _load_fn(args.fn)
-    ops = _load_ops(args.ops)
+    f = _load(args.fn, fn_from_file_doc)
+    ops = _load(args.ops, lambda doc: [LinOp.from_doc(d) for d in doc.get("ops", [doc])])
     scales = [float(s) for s in args.scales.split(",")]
     rep = scan_derivative_set(f, _vec(args.point), ops, scales,
                               dirs=args.dirs, tol=args.tol, seed=args.seed,
@@ -320,7 +306,7 @@ def cmd_plot(args):
                  else vals[..., 0])
         svg.write_heatmap(args.out, field, bb)
     else:
-        f = _load_fn(args.fn)
+        f = _load(args.fn, fn_from_file_doc)
         lo, hi = (_vec(t) for t in args.bbox.split(";"))
         _check_dims(len(lo), ("upper corner", len(hi)), ("map", f.d))
         if not np.all(lo < hi):

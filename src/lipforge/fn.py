@@ -25,6 +25,7 @@ Nodes carry an optional certified Lipschitz upper bound `lip_bound`
 
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,7 +114,10 @@ def fn_to_file_doc(fn: LipFn):
 
 
 def fn_from_file_doc(doc):
-    return LipFn.from_doc(doc["dag"])
+    fn = LipFn.from_doc(doc["dag"])
+    if [doc["dim"], doc["cod"]] != [fn.d, fn.l]:
+        raise InputError("dim and cod must be the map's %d and %d" % (fn.d, fn.l))
+    return fn
 
 
 @register
@@ -227,6 +231,8 @@ class DistFn(LipFn):
         super().__init__(space.dim, 1)
         self.space = space
         self.center = np.asarray(center, dtype=float).ravel()
+        if len(self.center) != space.dim:
+            raise InputError("the center needs %d coordinates" % space.dim)
         self.offset = float(space.norm(-self.center)) if offset is None else float(offset)
 
     @functools.cached_property
@@ -288,7 +294,11 @@ class ProductFn(LipFn):
 
 @register
 class BlendFn(LipFn):
-    """Radial interpolation between f1 (inside radius a) and f2 (outside b)."""
+    """Radial interpolation between f1 (inside radius a) and f2 (outside b).
+
+    A piece with f(0) != 0 is shifted by f(0) first, with a warning; with
+    Lip f1 <= lip1, Lip f2 <= lip2 and lip1 + lip2 <= 1, Lip <= 1 + a/(b-a),
+    claimed when both lips are given."""
 
     tag = "blend"
     fields = (("a", "a", "float"), ("b", "b", "float"), ("f1", "f1", "fn"),
@@ -301,13 +311,24 @@ class BlendFn(LipFn):
             raise InputError("need 0 < a < b")
         if f1.d != f2.d or f1.l != f2.l:
             raise InputError("blend inputs must share domain and codomain")
+        lips = [v for v in (lip1, lip2) if v is not None]
+        if not all(v >= 0 for v in lips) or sum(lips) > 1.0 + 1e-12:
+            raise InputError("need lip1, lip2 >= 0 with lip1 + lip2 <= 1")
         super().__init__(f1.d, f1.l)
         self.a, self.b = float(a), float(b)
-        self.f1, self.f2 = f1, f2
+        self.f1, self.f2 = self._anchored(f1, "f1"), self._anchored(f2, "f2")
         self.space = space
         self.lip1, self.lip2 = lip1, lip2
-        if lip1 is not None and lip2 is not None and lip1 + lip2 <= 1.0 + 1e-12:
+        if len(lips) == 2:
             self.lip_bound = 1.0 + self.a / (self.b - self.a)
+
+    @staticmethod
+    def _anchored(f, name):
+        v = f(np.zeros(f.d))
+        if np.max(np.abs(v)) <= 1e-12:
+            return f
+        warnings.warn("%s(0) != 0; subtracting the constant %r" % (name, v))
+        return SumFn([f, ConstFn(v, f.d)], [1.0, -1.0])
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -359,6 +380,8 @@ class LocalAffineSurgeryFn(LipFn):
     def __init__(self, f: LipFn, centers, s, beta, alpha, Lmat, space: NormedSpace,
                  lip_bound=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if centers.shape[1] != f.d:
+            raise InputError("the centers need %d coordinates" % f.d)
         super().__init__(f.d, f.l)
         self.f = f
         self.centers = centers

@@ -237,11 +237,14 @@ class BallUnion(Region):
         return np.where(best_in > -np.inf, best_in, np.maximum(best_out, 0.0))
 
     def bbox(self):
-        # sup-norm box valid for lp norms (||v||_p >= ||v||_inf) and polyhedral
-        # balls contained in the cube of their max vertex coordinate
+        # sup-norm box valid for lp norms (||v||_p >= ||v||_inf), weighted ones
+        # (|v_i| <= ||D v||_p / D_i) and polyhedral balls contained in the
+        # cube of their max vertex coordinate
         r = self.radius
         if self.space.kind == "polyhedral":
             r = r * float(np.max(np.abs(self.space.unit_ball_vertices())))
+        elif self.space.kind == "weighted-lp":
+            r = r / self.space._scale_vec()
         return self.centers.min(axis=0) - r, self.centers.max(axis=0) + r
 
 
@@ -557,8 +560,10 @@ def pu_cover(E, P: Functional, eps, budget=6):
     meta = getattr(E, "meta", {})
     if meta.get("ifs") != "four-corner":
         raise InputError("pu_cover needs a four-corner IFS region (or a box subset of one)")
-    ratio = meta["ratio"]
-    nmax = meta["level"]
+    nmax, ratio = meta.get("level"), meta.get("ratio")
+    if not (type(nmax) is int and nmax >= 0
+            and type(ratio) in (int, float) and 0.0 < ratio <= 0.5):
+        raise InputError("a four-corner region needs level >= 0 and ratio in (0, 1/2]")
     best = None
     for m in range(0, min(int(budget), nmax) + 1):
         lo_m, side = four_corner_squares(m, ratio)

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
+
 
 def enc_float(v) -> str:
     v = float(v)
@@ -28,9 +30,22 @@ def enc_float(v) -> str:
 
 
 def dec_float(s) -> float:
-    if isinstance(s, (int, float)):
-        return float(s)
-    return float.fromhex(s)
+    """A document's hex-float string or JSON number; InputError unless finite."""
+    try:
+        v = float.fromhex(s) if isinstance(s, str) else float(s)
+    except OverflowError:
+        v = math.inf
+    except TypeError:  # null, a list or an object
+        v = math.nan
+    if isinstance(s, bool) or not math.isfinite(v):
+        raise InputError("%.40r is not a finite number" % (s,))
+    return v
+
+
+def dec_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise InputError("%r is not true or false" % (v,))
+    return v
 
 
 def enc_vec(v):
@@ -61,7 +76,7 @@ def dec_frac(pair) -> Fraction:
 CODECS = {
     "int": (int, int),
     "list": (list, list),
-    "bool": (bool, bool),
+    "bool": (bool, dec_bool),
     "dict": (dict, dict),
     "float": (enc_float, dec_float),
     "floats": (lambda v: [enc_float(x) for x in v], lambda v: [dec_float(x) for x in v]),

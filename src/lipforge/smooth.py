@@ -117,24 +117,30 @@ def _sampled_lip(f: LipFn, region: Region, seed):
     return float(np.max(np.max(np.abs(fx - fy), axis=1) / dn[ok], initial=0.0))
 
 
+def _partition(bumps, supports, V: Region) -> PartitionOfUnity:
+    """phi_k = bumps[k] / sum_j bumps[j], supports[k] holding bump k's
+    support.  Each bump is evaluated once on V's lattice, where their sum
+    must stay positive and the multiplicity M is counted (the bump count
+    when no lattice point falls in V)."""
+    pts = _sample_lattice(V)
+    M = len(bumps)
+    if len(pts):
+        vals = np.array([b.eval(pts)[:, 0] for b in bumps])
+        total = vals.sum(axis=0)
+        if np.min(total) <= 0.0:
+            i = int(np.argmin(total))
+            raise CoverError("cover sum vanishes on V at %r" % (pts[i],))
+        M = int(np.max(np.sum(vals > 0, axis=0)))
+    phis = [NormalizedBumpFn(bumps, i) for i in range(len(bumps))]
+    lips = [_sampled_lip(p, c, seed=i) for i, (p, c) in enumerate(zip(phis, supports))]
+    return PartitionOfUnity(phis, list(supports), lips, M)
+
+
 def build_pou(cover, V: Region) -> PartitionOfUnity:
     """Bump-per-element partition of unity on V, normalized by the sum."""
     if not cover:
         raise CoverError("empty cover")
-    bumps = [_bump_for(c) for c in cover]
-    pts = _sample_lattice(V)
-    if len(pts):
-        total = np.sum([b.eval(pts)[:, 0] for b in bumps], axis=0)
-        if np.min(total) <= 0.0:
-            i = int(np.argmin(total))
-            raise CoverError("cover sum vanishes on V at %r" % (pts[i],))
-        mult = np.sum([b.eval(pts)[:, 0] > 0 for b in bumps], axis=0)
-        M = int(np.max(mult))
-    else:
-        M = len(cover)
-    phis = [NormalizedBumpFn(bumps, i) for i in range(len(bumps))]
-    lips = [_sampled_lip(p, c, seed=i) for i, (p, c) in enumerate(zip(phis, cover))]
-    return PartitionOfUnity(phis, list(cover), lips, M)
+    return _partition([_bump_for(c) for c in cover], cover, V)
 
 
 def compact_selection(cover, V: Region, E: Region):
@@ -172,16 +178,7 @@ def compact_selection(cover, V: Region, E: Region):
 
     bumps = [_bump_for(c) for c in ordered]
     gated = bumps[:K] + [ProductFn(one_minus, b) for b in bumps[K:]]
-    pts = _sample_lattice(V)
-    total = np.sum([b.eval(pts)[:, 0] for b in gated], axis=0)
-    if len(pts) and np.min(total) <= 0.0:
-        i = int(np.argmin(total))
-        raise CoverError("gated cover sum vanishes on V at %r" % (pts[i],))
-    phis = [NormalizedBumpFn(gated, i) for i in range(len(gated))]
-    mult = np.sum([b.eval(pts)[:, 0] > 0 for b in gated], axis=0) if len(pts) else [len(gated)]
-    lips = [_sampled_lip(p, c, seed=i) for i, (p, c) in enumerate(zip(phis, ordered))]
-    pou = PartitionOfUnity(phis, list(ordered), lips, int(np.max(mult)))
-    return pou, K, U
+    return _partition(gated, ordered, V), K, U
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +194,8 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
     Requires the local-approximation premise ||h_k - h|| <= theta_k on the
     k-th support (sampled at 200 points), and the budget
     sum (1 + Lip phi_k) theta_k <= theta when a total budget is given.
+    The claimed Lipschitz bound is max(Lip h, max_k Lip h_k) plus
+    sum_k Lip phi_k theta_k, the product-rule term of the phi_k.
     """
     if len(h_ks) != len(pou.phis):
         raise InputError("approximant count must match the partition")
@@ -222,8 +221,8 @@ def sla_assemble(h: LipFn, U: Region, pou: PartitionOfUnity, h_ks, theta_ks,
     lips_k = [hk.lip_bound for hk in h_ks]
     lip = None
     if h.lip_bound is not None and all(v is not None for v in lips_k):
-        t_tot = float(sum(theta_ks)) if theta is None else float(theta)
-        lip = max(h.lip_bound, t_tot + max(lips_k, default=0.0))
+        lip = (max([h.lip_bound] + lips_k)
+               + float(sum(lp * tk for lp, tk in zip(pou.lips, theta_ks))))
     return RegionSwitchFn(U, inside, h, lip_bound=lip)
 
 

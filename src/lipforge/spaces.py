@@ -72,7 +72,7 @@ class NormedSpace:
         if p == "inf" or p == float("inf"):
             return float("inf")
         p = float(p)
-        if p < 1:
+        if not p >= 1:
             raise DescriptorError("p must lie in [1, inf]")
         return p
 
@@ -348,10 +348,6 @@ class LinOp:
         lb, ub, w = op_norm(m, dom, cod)
         return cls(m, dom, cod, lb, ub, w)
 
-    def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        return X @ self.matrix.T
-
     def scaled(self, c):
         out = LinOp(self.matrix * c, self.dom, self.cod,
                     self.opnorm_lb * abs(c), self.opnorm_ub * abs(c), self.witness)
@@ -615,28 +611,25 @@ class OperatorFamily:
             self._unit.append(b.matrix / b.opnorm_ub)
 
     def enumerate_coeffs(self, n):
-        """Deterministic enumeration of nonzero rational coefficient vectors."""
+        """(level, k): the n-th (from 1) nonzero coefficient vector k in
+        {-level..level}^m, listed level by level; within a level, k runs
+        through the base-(2 level + 1) numbers with digit j standing for
+        level - j, most significant first, skipping the zero vector."""
+        if n < 1:
+            raise InputError("index must be >= 1")
         m = len(self.basis)
-        count = 0
-        level = 1
-        while True:
-            rng = range(level, -level - 1, -1)
-            idx = [0] * m
-            vals = list(rng)
-            total = len(vals) ** m
-            for flat in range(total):
-                x = flat
-                k = []
-                for _ in range(m):
-                    k.append(vals[x % len(vals)])
-                    x //= len(vals)
-                k = tuple(reversed(k))
-                if all(v == 0 for v in k):
-                    continue
-                count += 1
-                if count == n:
-                    return level, k
+        level, i = 1, n - 1
+        while i >= (2 * level + 1) ** m - 1:
+            i -= (2 * level + 1) ** m - 1
             level += 1
+        base = 2 * level + 1
+        if i >= (base ** m - 1) // 2:  # at or past the zero vector's place
+            i += 1
+        k = []
+        for _ in range(m):
+            i, digit = divmod(i, base)
+            k.append(level - digit)
+        return level, tuple(reversed(k))
 
     def member(self, n):
         level, k = self.enumerate_coeffs(n)
@@ -649,8 +642,6 @@ class OperatorFamily:
 
 def dense_ball_sequence(fam: OperatorFamily, n: int) -> LinOp:
     """T_n = (1 - 2^{-ceil(sqrt(n))}) R_n; every emitted operator has ub < 1."""
-    if n < 1:
-        raise InputError("index must be >= 1")
     R = fam.member(n)
     factor = 1.0 - 2.0 ** (-int(np.ceil(np.sqrt(n))))
     return R.scaled(factor)

@@ -492,12 +492,6 @@ class PsiMap:
         stair = (self.j_of(X) + 2) / float(self.k)
         return np.where(inG, np.minimum(stair, phi_v), 0.0)
 
-    def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return float(self.eval(X[None])[0])
-        return self.eval(X)
-
 
 def _phi_level_boxes(phi: LipFn, bbox, thresh, n_side):
     """Open box union over lattice cells where phi >= thresh; bbox is a
@@ -655,7 +649,6 @@ def bmgame_step_pu(E: Region, Q: Region, theta, f: LipFn, T: LinOp, seed=0):
         spec = MollifierSpec(max(grid_h, 1e-4), f.d, order=8)
         p = mollify(p, spec)
     g = SumFn([f, p], [1.0, 1.0])
-    g.lip_bound = None
     delta = slope_radius(g, E, T, theta, seed=seed)
     return U, g, delta
 

@@ -181,31 +181,26 @@ class DiniReport:
 
 def dini_check(f: LipFn, x, v, tgrid, margin=1e-3, exact=False) -> DiniReport:
     """Two-sided descent check: flags an empty regular subgradient when the
-    sampled lower one-sided derivatives along +v and -v are both < -margin."""
+    sampled lower one-sided derivatives along +v and -v are both < -margin;
+    exact=True takes the difference quotients in rationals."""
     if f.l != 1:
         raise InputError("descent check needs a scalar function")
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    vals = {}
     if exact:
-        xf = [as_fraction(q) for q in x]
-        vf = [as_fraction(q) for q in v]
-        f0 = f.eval_exact(xf)[0]
-        for sign in (1, -1):
-            qs = []
-            for t in tgrid:
-                tf = as_fraction(t)
-                pt = [xi + sign * tf * vi for xi, vi in zip(xf, vf)]
-                qs.append(float((f.eval_exact(pt)[0] - f0) / tf))
-            vals[sign] = min(qs)
+        num, value = as_fraction, lambda p: f.eval_exact(p)[0]
     else:
-        f0 = float(f(x)[0])
-        for sign in (1, -1):
-            qs = []
-            for t in tgrid:
-                t = float(t)
-                qs.append((float(f(x + sign * t * v)[0]) - f0) / t)
-            vals[sign] = min(qs)
+        num, value = float, lambda p: float(f(p)[0])
+    xq, vq = [num(q) for q in x], [num(q) for q in v]
+    f0 = value(xq)
+    vals = {}
+    for sign in (1, -1):
+        qs = []
+        for t in tgrid:
+            tq = num(t)
+            pt = [xi + sign * tq * vi for xi, vi in zip(xq, vq)]
+            qs.append(float((value(pt) - f0) / tq))
+        vals[sign] = min(qs)
     flag = vals[1] < -margin and vals[-1] < -margin
     return DiniReport(x, v, vals[1], vals[-1], [float(t) for t in tgrid], flag)
 

@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lipforge.blend import BlendSpec
-from lipforge.fn import (DistFn, LinearFn, ZeroFn, fn_from_file_doc,
+from lipforge.fn import (BlendFn, DistFn, LinearFn, ZeroFn, fn_from_file_doc,
                          fn_to_file_doc)
 from lipforge.game import POLICIES, IdentityPolicy, certify_transcript, \
     multi_operator_run, run_bm_game
@@ -51,8 +50,7 @@ def test_criterion_01_blend_bounds():
         m2 *= (1.0 - t) / max(np.linalg.svd(m2, compute_uv=False)[0], 1e-12)
         f1 = LinearFn(m1, lip_bound=t)
         f2 = LinearFn(m2, lip_bound=1.0 - t)
-        spec = BlendSpec(a, b, f1, f2, t, 1.0 - t, space)
-        phi = spec.fn
+        phi = BlendFn(a, b, f1, f2, space, t, 1.0 - t)
         Q = box_region([-3 * b, -3 * b], [3 * b, 3 * b])
         est, _ = lip_estimate(phi, Q, pairs=10000, seed=3,
                               dom=space, cod=space)

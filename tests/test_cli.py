@@ -1,5 +1,8 @@
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import re
 import shutil
@@ -8,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lipforge
 from lipforge import gridfile, svg
@@ -233,6 +237,13 @@ def test_plot_nan_grid_leaves_no_svg(tmp_path):
     assert not out.exists()
 
 
+def _set_path(doc, path, value):
+    """Set doc[path[0]][path[1]]... to value."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 def test_exit_code_config_errors(files, tmp_path):
     assert run_cli(["cyl", "--op", str(tmp_path / "missing.json")]) == 2
     assert run_cli(["xi", "--region", files["Q"], "--p", "1,0",
@@ -267,9 +278,32 @@ def test_exit_code_config_errors(files, tmp_path):
         with np.errstate(invalid="ignore"):  # inf * 0 in the float drawing
             assert run_cli(["plot", "--fn", bad, "--bbox", "0,0;1,1",
                             "--out", str(tmp_path / "x.svg")]) == 2
-        assert run_cli(["verify", "--fn", bad, "--point", "0.1,0.1",
-                        "--ops", files["op_inf"], "--scales", "0.1",
-                        "--exact"]) == 2
+        for exact in ([], ["--exact"]):
+            assert run_cli(["verify", "--fn", bad, "--point", "0.1,0.1",
+                            "--ops", files["op_inf"], "--scales", "0.1"]
+                           + exact) == 2
+    # malformed documents, each refused where it is decoded
+    xi = ["xi", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25", "--region"]
+    smooth = ["smooth", "--set", files["E"], "--q", files["Q"], "--eps", "0.1",
+              "--out", out, "--fn"]
+    pumap = ["pumap", "--u", files["Q"], "--op", files["op"], "--theta", "0.3",
+             "--out", out, "--set"]
+    for argv, name, path, value in [
+            (xi, "Q", ("lo", 0, 0), None),
+            (xi, "Q", ("lo",), 5.0),
+            (xi, "Q", ("open",), None),
+            (["cyl", "--op"], "op", ("space", "dom", "descriptor", "p"), None),
+            (["cyl", "--op"], "op", ("space", "dom", "descriptor", "p"), "nan"),
+            (["cyl", "--op"], "op", ("space", "dom", "dim"), "two"),
+            (smooth, "dist", ("dag", "center"), ["0x1p-1"]),
+            (smooth, "dist", ("dim",), 3),
+            (pumap, "E", ("meta", "level"), None),
+            (pumap, "E", ("meta", "ratio"), "0x1p-2")]:
+        doc = load_path(files[name])
+        _set_path(doc, path, value)
+        bad = str(tmp_path / "bad.json")
+        dump_path(doc, bad)
+        assert run_cli(argv + [bad]) == 2, (name, path, value)
     # scan radii that are not positive and finite, in float and exact mode
     for scales in ("-0.1", "0", "inf", "nan", "0.1,-0.1"):
         for exact in ([], ["--exact"]):
@@ -400,6 +434,122 @@ def test_exit_code_dimension_mismatch(files, tmp_path, capsys, argv, message):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
     assert run_cli(argv) == 2
     assert "points have 2 coordinates; " + message in capsys.readouterr().err
+
+
+# every subcommand that reads documents, with small settings, and the
+# documents it reads; the fuzz below breaks one of them
+FUZZ_COMMANDS = [
+    ("cyl --op {op} --budget 4", ("op",)),
+    ("xi --region {Q} --p 1,0 --alpha 0.4 --grid 0.5", ("Q",)),
+    ("steep --region {Q} --p 1,0 --alpha 0.4 --grid 0.5 --out {out}", ("Q",)),
+    ("pumap --set {E} --u {U} --op {op} --theta 0.3 --points 5 --out {out}",
+     ("E", "U", "op")),
+    ("prescribe --q {Q} --set {E} --op {op} --fn {fn} --r 0.4 --s 0.05 "
+     "--kmax 1 --out {out}", ("Q", "E", "op", "fn")),
+    ("game --set {E} --q {Q} --op {op_inf} --rounds 1 --out {out}",
+     ("E", "Q", "op_inf")),
+    ("smooth --fn {dist} --set {E} --q {Q} --eps 0.1 --out {out}",
+     ("dist", "E", "Q")),
+    ("verify --fn {fn} --point 0.1,0.1 --ops {op} --scales 0.1 --dirs 4",
+     ("fn", "op")),
+    ("plot --fn {fn} --bbox 0,0;1,1 --res 4 --out {out}", ("fn",)),
+]
+
+
+def _doc_paths(doc, path=()):
+    """The key paths of doc's nodes, below the top level.  A region's meta
+    (read only by pu_cover, tested above) and an operator's descriptor
+    label (read by no decoder) are left out."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        if key == "meta" or path + (key,) == ("descriptor",):
+            continue
+        yield path + (key,), value
+        yield from _doc_paths(value, path + (key,))
+
+
+@st.composite
+def broken_documents(draw, docs):
+    """(argv template, name, broken document): one document of one
+    subcommand made not an object, short of a key, wrongly typed or null,
+    non-finite, or of the wrong dimension."""
+    template, names = draw(st.sampled_from(FUZZ_COMMANDS))
+    name = draw(st.sampled_from(names))
+    doc = json.loads(json.dumps(docs[name]))
+    nodes = list(_doc_paths(doc))
+    how = draw(st.sampled_from(["not-object", "missing", "type", "non-finite",
+                                "dimension"]))
+    if how == "not-object":
+        return template, name, draw(st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+            st.lists(st.integers(-3, 3), max_size=3)))
+    if how == "missing":
+        path = draw(st.sampled_from([p for p, _ in nodes if isinstance(p[-1], str)
+                                     and p[-1] != "lip"]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    elif how == "type":
+        path = draw(st.sampled_from([p for p, _ in nodes]))
+        _set_path(doc, path, draw(st.sampled_from([None, {}, [], "xyz"])))
+    elif how == "non-finite":
+        path = draw(st.sampled_from([p for p, v in nodes
+                                     if isinstance(v, str) and "0x" in v]))
+        _set_path(doc, path, draw(st.sampled_from(
+            ["inf", "-inf", "nan", math.inf, math.nan])))
+    else:
+        sized = [(p, v) for p, v in nodes if isinstance(v, list)
+                 or (isinstance(v, int) and p[-1] in ("dim", "cod"))]
+        path, value = draw(st.sampled_from(sized))
+        if not isinstance(value, list):
+            value += 1
+        elif draw(st.booleans()):
+            value = value[:-1]
+        else:
+            value = value + value[-1:]
+        _set_path(doc, path, value)
+    return template, name, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    l2, linf = lp_space(2, 2), lp_space(2, "inf")
+    M = np.array([[0.3, 0.0], [0.0, -0.2]])
+    docs = {
+        "E": gen_four_corner(1).to_doc(),
+        "Q": box_region([-1.0, -1.0], [2.0, 2.0]).to_doc(),
+        "U": box_region([-2.0, -2.0], [3.0, 3.0], open_=True).to_doc(),
+        "op": LinOp.build(M, l2, l2).to_doc(),
+        "op_inf": LinOp.build(M, linf, linf).to_doc(),
+        "fn": fn_to_file_doc(LinearFn(0.4 * np.eye(2), lip_bound=0.4)),
+        "dist": fn_to_file_doc(DistFn(l2, np.array([0.5, 0.5]))),
+    }
+    paths = {name: str(root / (name + ".json")) for name in docs}
+    for name, doc in docs.items():
+        dump_path(doc, paths[name])
+    return docs, paths, str(root)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_malformed_documents_exit_cleanly(fuzz_files, data):
+    # every document-reading subcommand refuses a broken document with
+    # exit 2, 3 or 4 and no traceback
+    docs, paths, root = fuzz_files
+    template, name, doc = data.draw(broken_documents(docs))
+    bad = os.path.join(root, "broken.json")
+    dump_path(doc, bad)
+    files = dict(paths, out=os.path.join(root, "out"))
+    files[name] = bad
+    argv = [a.format(**files) for a in template.split()]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (2, 3, 4), (argv, doc)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_steep_empty_region_zero_certificate(tmp_path):

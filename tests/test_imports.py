@@ -14,7 +14,7 @@ a constant, not a keyword; the bound falls as such keywords go.
 
 A construction returns plain nodes: the only attributes the library stores
 on an object other than self or cls are the pu map's diagnostics and the
-Lipschitz claims of two assembled maps, listed in PATCHED_ATTRIBUTES.
+Lipschitz claim of smooth_around's map, listed in PATCHED_ATTRIBUTES.
 """
 
 import ast
@@ -34,7 +34,6 @@ PATCHED_ATTRIBUTES = [
     ("smooth.py", "smooth_around", "g.lip_bound"),
     ("steep.py", "_zero_pu_map", "g.gap"),
     ("steep.py", "_zero_pu_map", "g.parts"),
-    ("steep.py", "bmgame_step_pu", "g.lip_bound"),
     ("steep.py", "build_pu_map", "g.cyl_value"),
     ("steep.py", "build_pu_map", "g.gap"),
     ("steep.py", "build_pu_map", "g.parts"),

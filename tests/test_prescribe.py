@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lipforge.errors import ExactEvalUnsupported, GeometryError, NormError
+from lipforge.errors import (ExactEvalUnsupported, GeometryError, InputError,
+                             NormError)
 from lipforge.fn import LinearFn, LocalAffineSurgeryFn, ZeroFn, as_fraction
 from lipforge.game import IdentityPolicy, certify_transcript, run_bm_game
 from lipforge.prescribe import (build_net, prescribe_derivative,
@@ -162,6 +163,14 @@ def _surgery(space, s):
     f = LinearFn([[0.3, 0.1], [-0.2, 0.4]])
     return LocalAffineSurgeryFn(f, centers, s, s / 3, s / 7,
                                 [[0.1, 0.2], [0.0, -0.3]], space)
+
+
+def test_surgery_centers_must_fit_the_map():
+    # a one-column center array would broadcast against 2-d points
+    with pytest.raises(InputError, match="centers need 2 coordinates"):
+        LocalAffineSurgeryFn(LinearFn(np.eye(2)), [[0.5]], Fraction(1, 4),
+                             Fraction(1, 8), Fraction(1, 16), np.zeros((2, 2)),
+                             lp_space(2, "inf"))
 
 
 @pytest.mark.parametrize("space", [

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipforge.errors import DomainError, InputError
-from lipforge.regions import (BoxUnion, Complement, CurveSpec, EmptyRegion,
-                              Intersection, LatticeDP, Region, UnionRegion,
-                              box_region, four_corner_squares,
+from lipforge.regions import (BallUnion, BoxUnion, Complement, CurveSpec,
+                              EmptyRegion, Intersection, LatticeDP, Region,
+                              UnionRegion, box_region, four_corner_squares,
                               gen_four_corner, pu_cover, room_inside,
                               xi_estimate)
-from lipforge.spaces import Functional, lp_space
+from lipforge.spaces import Functional, NormedSpace, lp_space
 
 
 def test_box_union_contains_and_area():
@@ -301,3 +301,37 @@ def test_pu_cover_rejects_negative_budget(l2_2):
     P = Functional([1.0, 0.0], l2_2)
     with pytest.raises(InputError):
         pu_cover(gen_four_corner(2), P, 0.3, budget=-1)
+
+
+def _composite_regions():
+    """(region, norm of its distances): box unions measure in linf, so the
+    composites pair them with an linf ball union."""
+    linf, l2 = lp_space(2, "inf"), lp_space(2, 2)
+    weighted = NormedSpace(2, {"kind": "weighted-lp", "p": 2, "weights": [0.25, 1.0]})
+    A = box_region([0.0, 0.0], [2.0, 1.0])
+    B = BallUnion([[1.5, 0.5], [3.0, 1.0]], 0.8, linf)
+    return [(Intersection([A, B]), linf), (UnionRegion([A, B]), linf),
+            (Intersection([B, box_region([2.5, 0.0], [4.0, 3.0], open_=True)]), linf),
+            (B, linf), (BallUnion([[0.5, 0.5]], 0.6, l2, open_=False), l2),
+            (BallUnion([[0.0, 0.0], [0.3, -0.2]], 0.5, weighted), weighted)]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_composite_bbox_and_dist_to_boundary_brute_force(k):
+    # the box holds every sampled member; the distance to the boundary is at
+    # most the distance to any sampled point on the other side of it
+    region, norm = _composite_regions()[k]
+    rng = np.random.default_rng(k)
+    X = rng.uniform(-2.0, 5.0, (20000, 2))
+    members = X[region.contains(X)]
+    assert len(members) > 100
+    lo, hi = region.bounds("region")
+    assert np.all(members >= lo) and np.all(members <= hi)
+    P = np.vstack([members[:100], rng.uniform(lo - 0.5, hi + 0.5, (100, 2))])
+    U = rng.standard_normal((300, 2))
+    U /= norm.norm(U)[:, None]
+    for p, dist in zip(P, region.dist_to_boundary(P)):
+        Y = p + rng.uniform(0.0, 2.0, (300, 1)) * U
+        cross = region.contains(Y) != region.contains(p[None])[0]
+        if cross.any():
+            assert dist <= float(np.min(norm.norm(Y[cross] - p))) + 1e-12

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lipforge.errors import BudgetError, CoverError, PremiseError
-from lipforge.fn import ConstFn, DistFn, LinearFn, LipFn, RegionSwitchFn, ZeroFn
+from lipforge.fn import (ConstFn, DistFn, LinearFn, LipFn, PlateauFn,
+                         RegionSwitchFn, ZeroFn)
 from lipforge.regions import box_region, gen_four_corner
-from lipforge.smooth import (MollifierSpec, build_pou, c1_replace,
-                             compact_selection, mollify, sla_assemble,
-                             smooth_around, smooth_region,
+from lipforge.smooth import (MollifierSpec, PartitionOfUnity, build_pou,
+                             c1_replace, compact_selection, mollify,
+                             sla_assemble, smooth_around, smooth_region,
                              uniform_diff_radius)
 from lipforge.spaces import lp_space
 from lipforge.verify import c1_check, fd_jacobian, lip_estimate
@@ -105,6 +106,43 @@ def test_compact_selection_flattens_tail(rng):
     for phi in pou.phis[K:]:
         assert float(np.max(np.abs(phi.eval(X)))) == 0.0
     assert np.allclose(_pou_sum(pou, X), 1.0, atol=1e-9)
+
+
+def test_compact_selection_cover_error():
+    # the first element holds E, but no element reaches V's far corner
+    E = box_region([-0.2, -0.2], [0.2, 0.2])
+    cover = [box_region([-1.0, -1.0], [1.0, 1.0], open_=True),
+             box_region([-0.5, -0.5], [0.5, 0.5], open_=True)]
+    V = box_region([-0.9, -0.9], [1.5, 1.5])
+    with pytest.raises(CoverError, match="cover sum vanishes on V"):
+        compact_selection(cover, V, E)
+
+
+def test_sla_lip_claim_covers_the_partition_slope():
+    # 1-d, so every norm is |.|: a plateau of slope 1.5 / 0.45 (about 3.33)
+    # moves h = 0 to h_1 = 0.01; Lip h~ is that slope times 0.01, above the
+    # Lipschitz constants of h and h_1
+    plateau = PlateauFn([0.0], [1.0], [0.45], [0.55])
+    pou = PartitionOfUnity([plateau], [box_region([0.0], [1.0])],
+                           [plateau.lip_bound], 1)
+    U = box_region([0.0], [1.0], open_=True)
+    Q = box_region([-0.5], [1.5])
+    g = sla_assemble(ZeroFn(1, 1), U, pou, [ConstFn([0.01], 1)], [0.01])
+    est, _ = lip_estimate(g, Q, pairs=20000, seed=0)
+    assert est > 0.03
+    assert est <= g.lip_bound + 1e-12
+    # with a total budget: h of slope 1, h_1 constant on a narrow support;
+    # the partition slope adds to Lip h rather than to Lip h_1
+    plateau = PlateauFn([0.45], [0.55], [0.49], [0.51])
+    pou = PartitionOfUnity([plateau], [box_region([0.45], [0.55])],
+                           [plateau.lip_bound], 1)
+    theta = (1.0 + plateau.lip_bound) * 0.05
+    g = sla_assemble(LinearFn([[1.0]], lip_bound=1.0),
+                     box_region([0.45], [0.55], open_=True), pou,
+                     [ConstFn([0.5], 1)], [0.05], theta=theta)
+    est, _ = lip_estimate(g, Q, pairs=20000, seed=0)
+    assert est > theta
+    assert est <= g.lip_bound + 1e-12
 
 
 def test_sla_identity_when_pieces_equal(rng):

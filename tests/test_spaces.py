@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lipforge.errors import DescriptorError
+from lipforge.errors import DescriptorError, InputError
 from lipforge.fn import BlendFn, DistFn, LinearFn, OuterFn
 from lipforge.spaces import (Functional, LinOp, NormedSpace, OperatorFamily,
                              cyl_constant, dense_ball_sequence, lp_space,
@@ -196,6 +197,37 @@ def test_dense_ball_sequence_contracts_and_is_deterministic():
     for n in range(1, 8):
         T = dense_ball_sequence(fam, n)
         assert T.opnorm_ub < 1.0
+
+
+def _listed_coeffs(m, count):
+    """The first count nonzero vectors of {-L..L}^m, level L = 1, 2, ...,
+    each level in the order of its base-(2L + 1) digits (digit j is L - j)."""
+    out = []
+    level = 1
+    while len(out) < count:
+        vals = range(level, -level - 1, -1)
+        for k in itertools.product(vals, repeat=m):
+            if any(k):
+                out.append((level, k))
+        level += 1
+    return out[:count]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_enumerate_coeffs_matches_listing(m):
+    sp = lp_space(2, 2)
+    fam = OperatorFamily([LinOp.build(np.eye(2) * (j + 1), sp, sp) for j in range(m)])
+    listed = _listed_coeffs(m, 400)
+    assert [fam.enumerate_coeffs(n) for n in range(1, 401)] == listed
+    # past level 1: the first level-2 member is sum_j (2 / 2) U_j
+    n = 3 ** m
+    assert listed[n - 1] == (2, (2,) * m)
+    R = sum((2 / 2) * u for u in fam._unit)
+    expect = R / max(1.0, LinOp.build(R, sp, sp).opnorm_ub)
+    assert np.array_equal(dense_ball_sequence(fam, n).matrix,
+                          (1.0 - 2.0 ** -int(np.ceil(np.sqrt(n)))) * expect)
+    with pytest.raises(InputError):
+        fam.enumerate_coeffs(0)
 
 
 def test_op_norm_diag_linf():

@@ -227,6 +227,21 @@ def test_pu_map_small_instance(l2_2):
     assert cert["gap"] < 0.1
 
 
+def test_pu_map_rank_two_operator(l2_2):
+    # two kept coordinates: H is the intersection of their covers, and the
+    # certificate samples it box by box through the first one
+    E = gen_four_corner(3)
+    U = box_region([-2.0, -2.0], [3.0, 3.0], open_=True)
+    T = LinOp.build(np.diag([0.3, 0.2]), l2_2, l2_2)
+    g, H = build_pu_map(E, U, T, 0.8, h=1.0 / 128.0, cover_budget=3)
+    assert len(g.parts) == 2
+    assert isinstance(H, Intersection) and len(H.children) == 2
+    assert H.contains((E.lo + E.hi) / 2.0).all()
+    cert = pu_map_certificate(g, H, U, T, 0.8, n_points=100, fd_step=1.0 / 256.0)
+    assert cert["n_H_points"] == 100
+    assert all(v for k, v in cert.items() if k.endswith("_ok")), cert
+
+
 def test_pu_map_numerically_zero_operator(l2_2):
     # every coordinate is dropped as numerically zero: g must still map into
     # the 2-d codomain and H must hold E, so the certificate has points
@@ -340,6 +355,7 @@ def test_bmgame_step_linear_multiple(l2_2):
     theta = 0.4
     U, g, delta = bmgame_step_pu(E, Q, theta, f, T, seed=0)
     assert delta > 0
+    assert g.lip_bound is None  # the mollified pu map claims no bound
     rng = np.random.default_rng(1)
     X = rng.uniform(-2, 3, (5000, 2))
     dev = float(np.max(np.asarray(l2_2.norm(g.eval(X) - f.eval(X)))))
