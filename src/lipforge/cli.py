@@ -15,10 +15,10 @@ from . import gridfile, svg
 from .errors import (BudgetError, ConstructionError, CoverError,
                      HypothesisError, InputError, LipforgeError, PremiseError,
                      RefereeError, ResolutionError)
-from .fn import fn_from_file_doc, fn_to_file_doc
+from .fn import ZeroFn, fn_from_file_doc, fn_to_file_doc
 from .game import POLICIES, certify_transcript, run_bm_game
 from .prescribe import build_net, prescribe_derivative
-from .regions import Region, gen_four_corner
+from .regions import CurveSpec, Region, gen_four_corner, xi_estimate
 from .serialize import dump_path, enc_float, load_path
 from .smooth import smooth_around, smooth_region
 from .spaces import Functional, LinOp, cyl_constant, lp_space
@@ -74,23 +74,20 @@ def _check_dims(d, *parts):
             raise InputError("points have %d coordinates; the %s has %d" % (d, name, m))
 
 
-def _write_json(path, doc):
-    dump_path(doc, path)
-
-
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
-def _write_fn(path, fn):
-    _write_json(path, fn_to_file_doc(fn))
+def _field(vals):
+    """The heatmap field of sampled values: the value of a scalar map, the
+    Euclidean norm of a vector one."""
+    return np.linalg.norm(vals, axis=-1) if vals.shape[-1] > 1 else vals[..., 0]
 
 
 def _maybe_heatmap(path, fn, bbox, title):
     vals, bb = sample_fn(fn, bbox, 128)
-    field = np.linalg.norm(vals, axis=2) if fn.l > 1 else vals[:, :, 0]
-    svg.write_heatmap(path, field, bb, title=title)
+    svg.write_heatmap(path, _field(vals), bb, title=title)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def _maybe_heatmap(path, fn, bbox, title):
 
 def cmd_cantor(args):
     E = gen_four_corner(args.level, args.ratio)
-    _write_json(args.out, E.to_doc())
+    dump_path(E.to_doc(), args.out)
     print("four-corner level %d: %d boxes -> %s" % (args.level, E.n_boxes, args.out))
     return EXIT_OK
 
@@ -111,15 +108,12 @@ def cmd_cyl(args):
     print("cyl(T) = %.12g  (||T|| in [%.12g, %.12g])"
           % (value, T.opnorm_lb, T.opnorm_ub))
     if args.out:
-        _write_json(args.out, {"cyl": enc_float(value),
-                               "opnorm_lb": enc_float(T.opnorm_lb),
-                               "opnorm_ub": enc_float(T.opnorm_ub)})
+        dump_path({"cyl": enc_float(value), "opnorm_lb": enc_float(T.opnorm_lb),
+                   "opnorm_ub": enc_float(T.opnorm_ub)}, args.out)
     return EXIT_OK
 
 
 def cmd_xi(args):
-    from .regions import CurveSpec, xi_estimate
-
     G = _load(args.region, Region.from_doc)
     space = _space(args.space)
     p = _vec(args.p)
@@ -128,10 +122,8 @@ def cmd_xi(args):
     value, gap, wit = xi_estimate(G, CurveSpec(P, args.alpha, args.grid, k=args.k))
     print("xi = %.9g  gap = %.9g  (witness %d nodes)" % (value, gap, len(wit)))
     if args.out:
-        _write_json(args.out, {
-            "value": enc_float(value), "gap": enc_float(gap),
-            "witness": [[enc_float(v) for v in p] for p in wit],
-        })
+        dump_path({"value": enc_float(value), "gap": enc_float(gap),
+                   "witness": [[enc_float(v) for v in p] for p in wit]}, args.out)
     return EXIT_OK
 
 
@@ -144,13 +136,13 @@ def cmd_steep(args):
     spec = SteepSpec(G, P, args.alpha, args.grid)
     g = build_steep(spec)
     out = _outdir(args)
-    _write_fn(os.path.join(out, "g.json"), g)
+    dump_path(fn_to_file_doc(g), os.path.join(out, "g.json"))
     props, gap = check_steep_properties(g, spec, seed=args.seed)
     cert = {name: {"residual": enc_float(res), "bound": enc_float(bound),
                    "ok": bool(res <= bound + 1e-12)}
             for name, (res, bound) in props.items()}
     cert["gap"] = enc_float(gap)
-    _write_json(os.path.join(out, "certificate.json"), cert)
+    dump_path(cert, os.path.join(out, "certificate.json"))
     bad = [n for n, c in cert.items() if isinstance(c, dict) and not c["ok"]]
     if args.svg:
         lo, hi = G.bounds("G")
@@ -173,11 +165,11 @@ def cmd_pumap(args):
     cert = pu_map_certificate(g, H, U, T, args.theta, n_points=args.points,
                               seed=args.seed)
     out = _outdir(args)
-    _write_fn(os.path.join(out, "g.json"), g)
-    _write_json(os.path.join(out, "H.json"), H.to_doc())
+    dump_path(fn_to_file_doc(g), os.path.join(out, "g.json"))
+    dump_path(H.to_doc(), os.path.join(out, "H.json"))
     doc = {k: (enc_float(v) if isinstance(v, float) else v)
            for k, v in cert.items()}
-    _write_json(os.path.join(out, "certificate.json"), doc)
+    dump_path(doc, os.path.join(out, "certificate.json"))
     ok = all(v for k, v in cert.items() if k.endswith("_ok"))
     for k in sorted(cert):
         print("%-14s %s" % (k, cert[k]))
@@ -199,12 +191,10 @@ def cmd_prescribe(args):
     net = build_net(E, Q, args.kmax, space=L.dom)
     gamma = net.level(args.kmax)
     if f is None:
-        from .fn import ZeroFn
-
         f = ZeroFn(L.dom.dim, L.cod.dim)
     g, alpha = prescribe_derivative(f, L, args.r, gamma, args.s, Q)
     out = _outdir(args)
-    _write_fn(os.path.join(out, "g.json"), g)
+    dump_path(fn_to_file_doc(g), os.path.join(out, "g.json"))
     # exactness certificate at every center
     worst = 0.0
     rng = np.random.default_rng(args.seed)
@@ -219,7 +209,7 @@ def cmd_prescribe(args):
     cert = {"alpha": enc_float(alpha), "centers": len(gamma),
             "exactness_residual": enc_float(worst),
             "lip_sampled": enc_float(lip)}
-    _write_json(os.path.join(out, "certificate.json"), cert)
+    dump_path(cert, os.path.join(out, "certificate.json"))
     print("centers %d alpha %.3g exactness %.3g lip %.6f"
           % (len(gamma), alpha, worst, lip))
     return EXIT_OK if worst <= 1e-9 and lip <= 1.0 + 1e-7 else EXIT_CERT
@@ -235,12 +225,12 @@ def cmd_game(args):
     t = run_bm_game(E, Q, T, policy, args.rounds)
     cert = certify_transcript(t, seed=args.seed)
     out = _outdir(args)
-    _write_fn(os.path.join(out, "limit.json"), t.limit)
+    dump_path(fn_to_file_doc(t.limit), os.path.join(out, "limit.json"))
     doc = {"policy": t.policy_name, "rounds": args.rounds,
            "levels": [{"level": c["level"], "error": enc_float(c["error"]),
                        "bound": enc_float(c["bound"]), "points": c["points"]}
                       for c in cert]}
-    _write_json(os.path.join(out, "certificate.json"), doc)
+    dump_path(doc, os.path.join(out, "certificate.json"))
     with open(os.path.join(out, "levels.csv"), "w") as fh:
         fh.write("level,error,bound,points\n")
         for c in cert:
@@ -260,7 +250,7 @@ def cmd_smooth(args):
     _check_dims(E.dim, ("region", Q.dim), ("map", f.d))
     g = smooth_around(E, Q, f, args.eps, seed=args.seed)
     out = _outdir(args)
-    _write_fn(os.path.join(out, "g.json"), g)
+    dump_path(fn_to_file_doc(g), os.path.join(out, "g.json"))
     rng = np.random.default_rng(args.seed)
     H = smooth_region(E, Q)
     pts = rng.uniform(*H.bounds("smooth region"), (30, f.d))
@@ -270,7 +260,7 @@ def cmd_smooth(args):
     dev = float(np.max(np.abs(g.eval(X) - f.eval(X))))
     cert = {"c1_pass": bool(passed), "c1_worst": enc_float(worst),
             "sup_deviation": enc_float(dev), "eps": enc_float(args.eps)}
-    _write_json(os.path.join(out, "certificate.json"), cert)
+    dump_path(cert, os.path.join(out, "certificate.json"))
     print("c1 %s worst %.3g  ||g-f|| %.3g <= eps %.3g"
           % (passed, worst, dev, args.eps))
     return EXIT_OK if passed and dev <= args.eps + 1e-12 else EXIT_CERT
@@ -284,7 +274,7 @@ def cmd_verify(args):
                               dirs=args.dirs, tol=args.tol, seed=args.seed,
                               exact=args.exact)
     if args.out:
-        _write_json(args.out, rep.to_doc())
+        dump_path(rep.to_doc(), args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("op,scale,error\n")
@@ -300,11 +290,10 @@ def cmd_verify(args):
 
 
 def cmd_plot(args):
+    if not (args.grid or (args.fn and args.bbox)):
+        raise InputError("plot needs --grid or --fn with --bbox")
     if args.grid:
         vals, bb = gridfile.read_grid(args.grid)
-        field = (np.linalg.norm(vals, axis=-1) if vals.shape[-1] > 1
-                 else vals[..., 0])
-        svg.write_heatmap(args.out, field, bb)
     else:
         f = _load(args.fn, fn_from_file_doc)
         lo, hi = (_vec(t) for t in args.bbox.split(";"))
@@ -314,9 +303,7 @@ def cmd_plot(args):
         vals, bb = sample_fn(f, (lo, hi), args.res)
         if args.lfgf:
             gridfile.write_grid(args.lfgf, vals, bb)
-        field = (np.linalg.norm(vals, axis=-1) if vals.shape[-1] > 1
-                 else vals[..., 0])
-        svg.write_heatmap(args.out, field, bb)
+    svg.write_heatmap(args.out, _field(vals), bb)
     print("wrote %s" % args.out)
     return EXIT_OK
 
@@ -435,8 +422,6 @@ def run_cli(argv):
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.command == "plot" and not (args.grid or (args.fn and args.bbox)):
-            raise InputError("plot needs --grid or --fn with --bbox")
         return args.func(args)
     except _RESOLUTION_ERRORS as e:
         print("resolution/budget error: %s" % e, file=sys.stderr)

@@ -368,8 +368,10 @@ class LocalAffineSurgeryFn(LipFn):
     centers and splice in an exact affine piece on an inner core.
 
     Evaluates to scale * f(z) outside the s-balls around the centers; on the
-    core alpha-balls the increments are exactly linear.  Radii are stored as
-    exact rationals so the construction survives microscopic scales.
+    core alpha-balls the increments are exactly linear.  A point within s of
+    several centers takes the surgery of the first of them, in center order,
+    in eval and eval_exact alike.  Radii are stored as exact rationals so the
+    construction survives microscopic scales.
     """
 
     tag = "surgery"
@@ -421,7 +423,7 @@ class LocalAffineSurgeryFn(LipFn):
         out = self.f.eval(X).copy()
         s, b, a = self.s_f, self.beta_f, self.alpha_f
         if s > 0.0:
-            for c in self.centers:
+            for c in self.centers[::-1]:  # the first center writes last
                 w = X - c
                 dist = self.space.norm(w)
                 m = dist < s
@@ -435,13 +437,11 @@ class LocalAffineSurgeryFn(LipFn):
                 if mA.any():
                     t = s * (dd[mA] - b) / (dd[mA] * (s - b))
                     vals[mA] = self.f.eval(c + t[:, None] * sub[mA])
-                mB = (dd <= b) & (dd > a)
+                mB = ~mA
                 if mB.any():
-                    lam = (b - dd[mB]) / (b - a) if b > a else np.ones(int(mB.sum()))
+                    dB = dd[mB]  # lam = 1 on the alpha-core, also when b == a in floats
+                    lam = np.divide(b - dB, b - a, out=np.ones(len(dB)), where=dB > a)
                     vals[mB] = fxi + lam[:, None] * (sub[mB] @ self.T_f.T)
-                mC = dd <= a
-                if mC.any():
-                    vals[mC] = fxi + sub[mC] @ self.T_f.T
                 out[m] = vals
         return self.scale_f * out
 

@@ -16,6 +16,7 @@ import struct
 import numpy as np
 
 from .errors import InputError
+from .regions import check_size
 
 MAGIC = b"LFGF"
 VERSION = 1
@@ -68,6 +69,7 @@ def sample_fn(fn, bbox, res):
         raise InputError("grid sampling supports d = 2")
     if res < 1:
         raise InputError("the grid needs res >= 1")
+    check_size(res * res, "a %d x %d grid" % (res, res))
     xs = np.linspace(lo[0], hi[0], res)
     ys = np.linspace(lo[1], hi[1], res)
     mx, my = np.meshgrid(xs, ys, indexing="ij")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, NormError
 from .fn import LipFn, LocalAffineSurgeryFn, as_fraction
-from .regions import BoxUnion, Region
+from .regions import BoxUnion, Region, check_size
 from .spaces import LinOp, NormedSpace
 
 
@@ -28,6 +28,9 @@ class Net:
 
 def _candidate_points(E, step):
     lo, hi = E.bounds("E")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        count = float(np.prod(np.ceil((hi - lo) / step + 0.5)))
+    check_size(count, "a net sample of %.3g points" % count)
     axes = [np.arange(lo[i], hi[i] + step * 0.5, step) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -107,7 +110,9 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
     """(g, alpha): g agrees with L-increments exactly on alpha-balls at gamma.
 
     g equals ((s - beta)/s) f outside the s-balls around gamma, stays
-    1-Lipschitz when f is, and satisfies sup||g - f|| <= r.
+    1-Lipschitz when f is, and satisfies sup||g - f|| <= r.  g claims
+    Lipschitz constant 1 only when f's bound is proven and at most 1, and
+    makes no claim otherwise.
     """
     space = L.dom
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
@@ -129,6 +134,7 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
             raise GeometryError("centers are closer than 4s to the boundary")
     diam = region_diameter(Q, space)
     beta, alpha = prescription_params(r, s, diam)
+    lip = 1.0 if f.lip_bound is not None and f.lip_bound <= 1.0 else None
     g = LocalAffineSurgeryFn(f, gamma, as_fraction(s), beta, alpha, L.matrix,
-                             space, lip_bound=1.0)
+                             space, lip_bound=lip)
     return g, float(alpha)

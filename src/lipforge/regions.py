@@ -266,24 +266,28 @@ class Complement(Region):
         return None
 
 
-class Intersection(Region):
-    kind = "intersection"
-    fields = (("children", "children", "regions"),)
+class _BooleanRegion(Region):
+    """Intersection or union of one or more children: membership folds the
+    children's with _fold; every boundary point lies on a child's boundary,
+    so the least child distance bounds the distance to it."""
 
     def __init__(self, children):
         if not children:
-            raise InputError("intersection needs children")
+            raise InputError("%s needs children" % self.kind)
         self.children = list(children)
         self.dim = children[0].dim
 
     def contains(self, X):
-        out = self.children[0].contains(X)
-        for c in self.children[1:]:
-            out = out & c.contains(X)
-        return out
+        return self._fold.reduce([c.contains(X) for c in self.children])
 
     def dist_to_boundary(self, X):
         return np.min([c.dist_to_boundary(X) for c in self.children], axis=0)
+
+
+class Intersection(_BooleanRegion):
+    kind = "intersection"
+    fields = (("children", "children", "regions"),)
+    _fold = np.logical_and
 
     def bbox(self):
         boxes = [c.bbox() for c in self.children if c.bbox() is not None]
@@ -294,24 +298,10 @@ class Intersection(Region):
         return lo, np.maximum(hi, lo)
 
 
-class UnionRegion(Region):
+class UnionRegion(_BooleanRegion):
     kind = "union"
     fields = (("children", "children", "regions"),)
-
-    def __init__(self, children):
-        if not children:
-            raise InputError("union needs children")
-        self.children = list(children)
-        self.dim = children[0].dim
-
-    def contains(self, X):
-        out = self.children[0].contains(X)
-        for c in self.children[1:]:
-            out = out | c.contains(X)
-        return out
-
-    def dist_to_boundary(self, X):
-        return np.min([c.dist_to_boundary(X) for c in self.children], axis=0)
+    _fold = np.logical_or
 
     def bbox(self):
         boxes = [c.bbox() for c in self.children]
@@ -348,6 +338,8 @@ def gen_four_corner(level, ratio=0.25):
         raise InputError("level must be >= 0")
     if not (0.0 < ratio <= 0.5):
         raise InputError("ratio must lie in (0, 1/2]")
+    # 4^level boxes; the min keeps the float finite, 4^32 being past the cap
+    check_size(4.0 ** min(level, 32), "level %d's 4^%d boxes" % (level, level))
     lo = np.array([[0.0, 0.0]])
     side = 1.0
     for _ in range(int(level)):
@@ -411,6 +403,14 @@ class CurveSpec:
 DP_NODE_CAP = 4_000_000  # largest DP lattice; about 220 bytes a node at 18 steps
 
 
+def check_size(count, what):
+    """BudgetError unless count, an int or a float that may be inf or nan,
+    is at most DP_NODE_CAP, the one cap on the lattice nodes, boxes, sample
+    points and directions a construction allocates; what names them."""
+    if not count <= DP_NODE_CAP:
+        raise BudgetError("%s exceeds the cap of %d" % (what, DP_NODE_CAP))
+
+
 class LatticeDP:
     """Longest in-G path over the lattice DAG ordered by the P-value.
 
@@ -431,9 +431,7 @@ class LatticeDP:
         self.lo = lo - pad * h
         n = np.maximum(np.ceil((hi - lo) / h) + 1 + 2 * pad, 2)  # floats: no overflow
         count = float(n[0]) * float(n[1])
-        if not count <= DP_NODE_CAP:
-            raise BudgetError("lattice of %.3g nodes exceeds the cap of %d; raise the grid step"
-                              % (count, DP_NODE_CAP))
+        check_size(count, "a lattice of %.3g nodes (raise the grid step)" % count)
         self.shape = (int(n[0]), int(n[1]))
         ii, jj = np.meshgrid(np.arange(self.shape[0]), np.arange(self.shape[1]), indexing="ij")
         self.nodes = self.lo[None, :] + np.stack([ii.ravel(), jj.ravel()], axis=1) * h

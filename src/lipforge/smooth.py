@@ -270,14 +270,6 @@ def c1_replace(g: LipFn, V: Region, xi, theta, U_xi: Region = None) -> LipFn:
 # ---------------------------------------------------------------------------
 
 
-def _directional_kernel(length):
-    """1-d bump quadrature of order 16 on [-length/2, length/2], unit mass."""
-    x, w = _tensor_rule(16, 1)
-    raw = w * bump(x[:, 0] ** 2)
-    keep = raw > 0
-    return x[keep, 0] * (length / 2.0), raw[keep] / raw[keep].sum()
-
-
 def smooth_region(E: Region, Q: Region) -> Region:
     """Where smooth_around(E, Q, ...) is smooth: the open box hull of
     B(E, rho), rho = min(room / 2, 1/4), room the gap from E to Q's bounds."""
@@ -289,39 +281,37 @@ def smooth_region(E: Region, Q: Region) -> Region:
 def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     """Smooth f near E, keep it unchanged off a neighborhood of E.
 
-    The local approximant is f convolved along a fixed sample of 16
-    directions of the unit sphere (equally spaced angles in the plane,
-    seeded Gaussian draws above it) with order-16 kernels of geometrically
-    shrinking supports |J_i| = eps / (2 (Lip f + 1) 2^i); in dimension d
-    only the first d (independent) directions change the values, so the
-    convolution product is truncated there and the skipped tail is within
-    the eps budget.  The result is smooth on smooth_region(E, Q), the
-    plateau's core, and equals f off the box of E grown by 0.9 room.
+    The local approximant is f convolved along min(d, 16) directions of
+    the unit sphere (the angles pi k / 16 of the plane, cut to d
+    coordinates, for d <= 2; seeded Gaussian draws above), the i-th with
+    the 1-d mollifier of support |J_i| = eps / (2 (Lip f + 1) 2^i),
+    i = 1, 2, ....  The result is smooth on smooth_region(E, Q), the
+    plateau's core, and equals f off the box of E grown by 0.9 room.  Its
+    Lipschitz claim is sla_assemble's, max(Lip f, Lip h1) + Lip phi
+    theta_1 <= Lip f + eps, and None when f has none.
     """
     if not 0.0 < eps < np.inf:
         raise InputError("eps must be positive and finite")
     d = f.d
     lip_f = f.lip_bound if f.lip_bound is not None else 1.0
     loE, hiE, room = room_inside(E, Q, "Q")
-    if d == 1:
-        dirs = [np.array([1.0])]
-    elif d == 2:
-        dirs = [np.array([np.cos(a), np.sin(a)]) for a in np.pi * np.arange(16) / 16]
+    if d <= 2:
+        dirs = [np.array([np.cos(a), np.sin(a)])[:d] for a in np.pi * np.arange(d) / 16]
     else:
         rng = np.random.default_rng(seed)
-        dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((16, d))]
+        dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((min(d, 16), d))]
     # flatten the directional convolutions into one convex combination over
     # the Minkowski sum of the per-direction quadratures (nested nodes would
     # cost order^n evaluations per point)
     shifts = np.zeros((1, d))
     weights = np.ones(1)
     total_shift = 0.0
-    for i in range(min(d, len(dirs))):
+    for i, v in enumerate(dirs):
         J = eps / (2.0 * (lip_f + 1.0) * 2.0 ** (i + 1))
-        offs, wts = _directional_kernel(J)
-        step = offs[:, None] * dirs[i][None, :]
+        kernel = MollifierSpec(J / 2.0, 1)
+        step = kernel.nodes * v[None, :]
         shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, d)
-        weights = (weights[:, None] * wts[None, :]).ravel()
+        weights = (weights[:, None] * kernel.weights[None, :]).ravel()
         total_shift += J / 2.0
     keep = weights > 1e-12
     shifts, weights = shifts[keep], weights[keep] / weights[keep].sum()
@@ -336,10 +326,8 @@ def smooth_around(E: Region, Q: Region, f: LipFn, eps, seed=0) -> LipFn:
     # budget: Lip growth <= Lip(phi) * ||h1 - f|| must stay below eps
     if plateau.lip_bound * theta_1 > eps:
         raise BudgetError("plateau slope exceeds the eps budget; enlarge Q room")
-    g = sla_assemble(f, box_region(lo_s, hi_s, open_=True), pou, [h1],
-                     theta_ks=[theta_1], theta=None, seed=seed)
-    g.lip_bound = lip_f + eps
-    return g
+    return sla_assemble(f, box_region(lo_s, hi_s, open_=True), pou, [h1],
+                        theta_ks=[theta_1], theta=None, seed=seed)
 
 
 # ---------------------------------------------------------------------------

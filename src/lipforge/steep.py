@@ -24,8 +24,8 @@ from .errors import (ConstructionError, HypothesisError, InputError,
 from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, OuterFn, PlateauFn,
                  ProductFn, SumFn, VecScaleFn, ZeroFn)
 from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
-                      LatticeDP, Region, box_region, pu_cover, room_inside,
-                      xi_estimate)
+                      LatticeDP, Region, box_region, check_size, pu_cover,
+                      room_inside, xi_estimate)
 from .smooth import MollifierSpec, mollify
 from .spaces import Functional, LinOp, cyl_constant, op_norm_upper
 from .verify import dyadic_radius, fd_jacobian
@@ -416,6 +416,7 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     """
     if not n_points >= 1:
         raise InputError("the certificate needs n_points >= 1")
+    check_size(20 * n_points, "20 x %s certificate samples" % n_points)
     rng = np.random.default_rng(seed)
     d = T.dom.dim
     gap = getattr(g, "gap", 0.0)

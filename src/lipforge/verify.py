@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fn import LipFn, as_fraction
+from .regions import check_size
 from .spaces import NormedSpace
 
 
@@ -89,6 +90,7 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
         raise InputError("tol must be finite and >= 0, got %r" % (tol,))
     if not dirs >= 0:
         raise InputError("dirs must be >= 0, got %r" % (dirs,))
+    check_size(dirs, "%s random directions" % dirs)
     dom = ops[0].dom
     if Q is not None:
         db = float(Q.dist_to_boundary(x[None])[0])

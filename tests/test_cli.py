@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from lipforge import gridfile, svg
 from lipforge.colormap import TABLE
 from lipforge.cli import run_cli
 from lipforge.fn import DistFn, LinearFn, fn_to_file_doc
-from lipforge.regions import Complement, EmptyRegion, box_region, gen_four_corner
+from lipforge.regions import (DP_NODE_CAP, Complement, EmptyRegion, box_region,
+                              gen_four_corner)
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
@@ -350,6 +352,26 @@ def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
 def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
     assert run_cli(argv) == 2
+
+
+# each size flag one step past DP_NODE_CAP: the library refuses the size
+# where it computes it, before it allocates, exit 4
+@pytest.mark.parametrize("argv", [
+    ["cantor", "--level", "11"],  # 4^11 boxes
+    ["prescribe", "--q", "{Q}", "--set", "{E}", "--op", "{op}", "--r", "0.4",
+     "--s", "0.05", "--kmax", "9"],  # a 2049 x 2049 net sample of E's box
+    ["plot", "--fn", "{fn}", "--bbox", "0,0;1,1", "--res", "2001"],
+    ["pumap", "--set", "{E}", "--u", "{Q}", "--op", "{op0}", "--theta", "0.3",
+     "--points", "200001"],  # 20 samples a point
+    ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
+     "--scales", "0.1", "--dirs", "4000001"],
+])
+def test_exit_code_size_flag_past_the_cap(files, tmp_path, capsys, argv):
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]
+    start = time.perf_counter()
+    assert run_cli(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the cap of %d" % DP_NODE_CAP in capsys.readouterr().err
 
 
 # a scan point that is not finite or does not fit the map, an operator whose

@@ -13,8 +13,8 @@ not counting field(init=False).  A tuning number with one value in use is
 a constant, not a keyword; the bound falls as such keywords go.
 
 A construction returns plain nodes: the only attributes the library stores
-on an object other than self or cls are the pu map's diagnostics and the
-Lipschitz claim of smooth_around's map, listed in PATCHED_ATTRIBUTES.
+on an object other than self or cls are the pu map's diagnostics, listed
+in PATCHED_ATTRIBUTES.
 """
 
 import ast
@@ -31,7 +31,6 @@ MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 SETTABLE_DEFAULTS = 66
 PATCHED_ATTRIBUTES = [
-    ("smooth.py", "smooth_around", "g.lip_bound"),
     ("steep.py", "_zero_pu_map", "g.gap"),
     ("steep.py", "_zero_pu_map", "g.parts"),
     ("steep.py", "build_pu_map", "g.cyl_value"),

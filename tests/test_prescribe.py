@@ -66,6 +66,22 @@ def test_sup_distance_and_lip(l2_2, rng):
     assert est <= 1.0 + 1e-7
 
 
+def test_prescription_claims_only_a_proven_bound():
+    # f = 3 x1 has no bound, or one above 1: g claims nothing, and a claim of
+    # 1 would be false
+    linf = lp_space(2, "inf")
+    L = LinOp.build(np.array([[0.2, 0.0]]), linf, lp_space(1, "inf"))
+    Q = box_region([-1.0, -1.0], [2.0, 2.0])
+    gamma = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for f, claim in [(LinearFn([[3.0, 0.0]]), None),
+                     (LinearFn([[3.0, 0.0]], lip_bound=3.0), None),
+                     (LinearFn([[0.5, 0.0]], lip_bound=0.5), 1.0)]:
+        g, _ = prescribe_derivative(f, L, 0.4, gamma, 0.05, Q)
+        assert g.lip_bound == claim
+        est, _ = lip_estimate(g, Q, pairs=4000, seed=0, dom=linf, cod=L.cod)
+        assert est > 1.0 if claim is None else est <= claim + 1e-9
+
+
 def test_norm_precondition(l2_2):
     Q, gamma, _ = _setup(l2_2)
     big = LinOp.build(0.9 * np.eye(2), l2_2, l2_2)
@@ -220,6 +236,17 @@ def test_surgery_filter_keeps_every_center_past_float_range():
     want = g.scale * (g.f.eval_exact([Fraction(big), Fraction(0)])[0]
                       + g.T_exact[0][0] * (x[0] - Fraction(big)))
     assert g.eval_exact(x)[0] == want
+
+
+def test_surgery_float_and_exact_take_the_first_center():
+    # centers 1/8 apart with s = 1/4: each point lies within s of both, in
+    # the first center's outer annulus, beta-ring or alpha-core
+    g = LocalAffineSurgeryFn(LinearFn([[0.5, 0.25]]), [[0.0, 0.0], [0.125, 0.0]],
+                             Fraction(1, 4), Fraction(1, 8), Fraction(1, 16),
+                             [[0.25, -0.5]], lp_space(2, "inf"))
+    X = np.array([[0.2, 0.1], [0.1, -0.05], [0.0625, 0.03125], [0.03125, 0.0]])
+    exact = [float(g.eval_exact([Fraction(v) for v in x])[0]) for x in X]
+    assert g.eval(X)[:, 0] == pytest.approx(exact, rel=0, abs=1e-15)
 
 
 def test_surgery_on_l2_refuses_exact_evaluation():

@@ -246,6 +246,28 @@ def test_xi_monotone_in_four_corner_level(l2_2):
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("cut", [False, True], ids=["balls", "intersection"])
+def test_xi_estimate_of_balls_between_box_unions(cut, l2_2):
+    # a non-box region counts crossings where the witness's endpoints
+    # disagree; two Euclidean balls, or their cut by a half-plane, hold an
+    # inscribed and lie in a circumscribed box union
+    c, r = np.array([[0.3, 0.5], [0.7, 0.5]]), 0.2
+    q = r / math.sqrt(2.0)
+    G, floor = BallUnion(c, r, l2_2), np.array([-1.0, -1.0])
+    if cut:
+        floor = np.array([0.0, 0.45])
+        G = Intersection([G, box_region(floor, [1.0, 1.0])])
+    inner = BoxUnion(np.maximum(c - q, floor), c + q)
+    outer = BoxUnion(np.maximum(c - r, floor), c + r)
+    bbox = (np.zeros(2), np.ones(2))
+    for p, alpha, h in [((1.0, 0.0), 0.3, 0.02), ((0.8, 0.6), 0.5, 0.025)]:
+        cs = CurveSpec(Functional(np.array(p), l2_2), alpha, h, k=3)
+        value, _, _ = xi_estimate(G, cs, bbox=bbox)
+        v_in, gap_in, _ = xi_estimate(inner, cs, bbox=bbox)
+        v_out, gap_out, _ = xi_estimate(outer, cs, bbox=bbox)
+        assert v_in - gap_in <= value <= v_out + gap_out
+
+
 def _projection_length(lo, hi, c):
     """Length of the union of the boxes' images under x -> c . x."""
     a = np.minimum(lo * c, hi * c).sum(axis=1)

@@ -231,6 +231,37 @@ def test_smooth_around_certificates(l2_2, rng):
     assert est <= f.lip_bound + eps + 1e-6
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_smooth_around_in_one_and_three_dimensions(d, rng):
+    # d = 1 takes the plane's first direction cut to one coordinate, d = 3
+    # seeded Gaussian draws
+    sp = lp_space(d, 2)
+    E = box_region([0.4] * d, [0.6] * d)
+    Q = box_region([-1.0] * d, [2.0] * d)
+    f = DistFn(sp, np.full(d, 0.5))
+    eps = 0.1
+    g = smooth_around(E, Q, f, eps, seed=0)
+    X = rng.uniform(-1, 2, (2000, d))
+    assert float(np.max(np.abs(g.eval(X) - f.eval(X)))) <= eps + 1e-12
+    H = smooth_region(E, Q)
+    pts = rng.uniform(*H.bounds("H"), (40, d))
+    ok, worst, _ = c1_check(g, pts[H.contains(pts)][:10])
+    assert ok, worst
+    est, _ = lip_estimate(g, Q, pairs=2000, seed=1, dom=sp, cod=lp_space(1, 2))
+    assert est <= g.lip_bound + 1e-9
+    assert g.lip_bound <= f.lip_bound + eps
+
+
+def test_smooth_around_claims_only_what_assembly_proves(l2_2):
+    # f = 3 x1 carries no bound: a claim of 1 + eps would be false
+    E = box_region([0.4, 0.4], [0.6, 0.6])
+    Q = box_region([-1.0, -1.0], [2.0, 2.0])
+    g = smooth_around(E, Q, LinearFn([[3.0, 0.0]]), 0.1)
+    assert g.lip_bound is None
+    est, _ = lip_estimate(g, Q, pairs=2000, seed=1, dom=l2_2, cod=lp_space(1, 2))
+    assert est > 1.1
+
+
 def test_uniform_diff_radius_quadratic_closed_form():
     # g(x) = x1^2 near x = 1/2 with theta = 0.1: largest dyadic radius 2^-5
     class Quad(LipFn):
