@@ -173,7 +173,17 @@ class LinearFn(LipFn):
         return [[as_fraction(v) for v in r] for r in self.matrix]
 
     def eval(self, X):
-        return X @ self.matrix.T
+        # X @ matrix.T in plain products and sums, one output column at a
+        # time: BLAS gives a single row other bits than the same row inside
+        # a batch (its vector kernel fuses the multiply-adds in another
+        # order), and batched callers need a row not to depend on its batch
+        X = np.asarray(X, dtype=float)
+        out = np.zeros(X.shape[:-1] + (self.l,))
+        for i, row in enumerate(self.matrix):
+            col = out[..., i]
+            for j, m in enumerate(row):
+                col += X[..., j] * m
+        return out
 
     def eval_exact(self, x):
         return [sum(a * xi for a, xi in zip(r, x)) for r in self._rows]
@@ -240,7 +250,16 @@ class DistFn(LipFn):
         return [as_fraction(v) for v in self.center]
 
     def eval(self, X):
-        return (self.space.norm(X - self.center) - self.offset).reshape(-1, 1)
+        # one column at a time: NumPy's broadcast over a short inner axis
+        # is several times slower, for the same bits
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1] != self.d:
+            raise InputError("points have %d coordinates; the space has %d"
+                             % (X.shape[-1], self.d))
+        D = np.empty(X.shape)
+        for j, c in enumerate(self.center):
+            np.subtract(X[..., j], c, out=D[..., j])
+        return (self.space.norm(D) - self.offset).reshape(-1, 1)
 
     def eval_exact(self, x):
         w = [xi - ci for xi, ci in zip(x, self._center_q)]
@@ -744,7 +763,7 @@ class ConvexShiftCombFn(LipFn):
     tag = "shift-comb"
     fields = (("base", "base", "fn"), ("shifts", "shifts", "mat"),
               ("weights", "weights", "vec"))
-    _CHUNK = 200_000
+    _CHUNK = 32_768  # translated points per base evaluation, cache-sized
 
     def __init__(self, base: LipFn, shifts, weights):
         shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
@@ -767,9 +786,13 @@ class ConvexShiftCombFn(LipFn):
         q = len(self.shifts)
         out = np.zeros((len(X), self.l))
         max_rows = max(1, self._CHUNK // q)
+        block = np.empty((min(len(X), max_rows), q, self.d))
         for start in range(0, len(X), max_rows):
             xb = X[start:start + max_rows]
-            pts = xb[:, None, :] - self.shifts[None, :, :]
+            pts = block[:len(xb)]
+            # xb - shift, one coordinate at a time (see DistFn.eval)
+            for j in range(self.d):
+                np.subtract(xb[:, j, None], self.shifts[None, :, j], out=pts[:, :, j])
             vals = self.base.eval(pts.reshape(-1, self.d)).reshape(len(xb), q, self.l)
             out[start:start + max_rows] = np.einsum("q,nql->nl", self.weights, vals)
         return out

@@ -342,12 +342,10 @@ def gen_four_corner(level, ratio=0.25):
     check_size(4.0 ** min(level, 32), "level %d's 4^%d boxes" % (level, level))
     lo = np.array([[0.0, 0.0]])
     side = 1.0
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     for _ in range(int(level)):
-        new = []
-        for base in lo:
-            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                new.append(base + np.array([dx, dy]) * (side - ratio * side))
-        lo = np.array(new)
+        # each box's four children, in corner order, boxes in order
+        lo = (lo[:, None, :] + corners[None] * (side - ratio * side)).reshape(-1, 2)
         side *= ratio
     hi = lo + side
     return BoxUnion(lo, hi, open_=False,

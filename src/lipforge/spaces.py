@@ -41,6 +41,23 @@ def _dedupe_rows(m):
     return np.array(out)
 
 
+def _reduce_cols(op, Z):
+    """op.reduce(Z, axis=-1) (op is np.add or np.maximum), bit for bit.
+
+    Below 8 columns NumPy reduces left to right from the identity, so one
+    column at a time gives the same bits without its slow loop over a
+    short inner axis; from 8 up it sums in pairwise blocks, so that case
+    keeps NumPy's reduction.  A sum starts from 0.0 as NumPy's does, which
+    turns a -0.0 first term into +0.0.
+    """
+    if Z.shape[-1] >= 8:
+        return op.reduce(Z, axis=-1)
+    out = Z[..., 0] + 0.0 if op is np.add else Z[..., 0].copy()
+    for j in range(1, Z.shape[-1]):
+        op(out, Z[..., j], out=out)
+    return out
+
+
 class NormedSpace:
     """A norm on R^d given by an lp / weighted-lp / polyhedral descriptor."""
 
@@ -141,12 +158,12 @@ class NormedSpace:
             Y = X if self._weights is None else X * self._scale_vec()
             p = self._p
             if np.isinf(p):
-                out = np.max(np.abs(Y), axis=1)
+                out = _reduce_cols(np.maximum, np.abs(Y))
             elif p == 1:
-                out = np.sum(np.abs(Y), axis=1)
+                out = _reduce_cols(np.add, np.abs(Y))
             else:
                 def power_sum(Z):  # squares for p = 2: the Euclidean formula's bits
-                    return np.sum(Z * Z if p == 2 else np.abs(Z) ** p, axis=1)
+                    return _reduce_cols(np.add, Z * Z if p == 2 else np.abs(Z) ** p)
 
                 def root(s):
                     return np.sqrt(s) if p == 2 else s ** (1.0 / p)
@@ -161,14 +178,14 @@ class NormedSpace:
                     with np.errstate(over="ignore", under="ignore"):
                         s = power_sum(Y)
                     out = root(s)
-                    m = np.max(np.abs(Y), axis=1)
+                    m = _reduce_cols(np.maximum, np.abs(Y))
                     redo = (m > 0) & (m < np.inf) & ((s < _TINY) | (s == np.inf))
                     out[redo] = m[redo] * root(power_sum(Y[redo] / m[redo, None]))
         else:
             # row-wise product-sum, not a matrix product: a point's norm
             # must not depend on the batch it is evaluated in
             F = self._functionals
-            out = np.max((X[:, None, :] * F).sum(axis=2), axis=1)
+            out = np.max(_reduce_cols(np.add, X[:, None, :] * F), axis=1)
         return out[0] if single else out
 
     def _scale_vec(self):

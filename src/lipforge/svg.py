@@ -6,7 +6,8 @@ from .colormap import TABLE
 from .errors import InputError
 from .serialize import enc_float
 
-_HEX = ["#%02x%02x%02x" % tuple(rgb) for rgb in TABLE]
+# each color's fill value and the end of its rect element
+_FILL_TAILS = ['#%02x%02x%02x"/>' % tuple(rgb) for rgb in TABLE]
 _CELL_PX = 4
 
 
@@ -34,12 +35,13 @@ def heatmap_svg(values, bbox, title=""):
     if title:
         out.append("<title>%s</title>" % title)
     idx = np.clip(np.rint((values - vmin) / spread * 255.0), 0, 255).astype(int)
-    for i in range(nx):
-        for j in range(ny):
-            # SVG y grows downward; flip so bbox hi_y is at the top
-            out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
-                       % (i * _CELL_PX, (ny - 1 - j) * _CELL_PX, _CELL_PX,
-                          _CELL_PX, _HEX[idx[i, j]]))
+    # each cell's line is its column's head, its row's middle and its color's
+    # tail; SVG y grows downward, so row j is flipped to put bbox hi_y on top
+    heads = ['<rect x="%d" y="' % (i * _CELL_PX) for i in range(nx)]
+    mids = ['%d" width="%d" height="%d" fill="' % ((ny - 1 - j) * _CELL_PX, _CELL_PX, _CELL_PX)
+            for j in range(ny)]
+    for head, row in zip(heads, idx.tolist()):
+        out.extend([head + mid + _FILL_TAILS[k] for mid, k in zip(mids, row)])
     out.append("</svg>")
     return "\n".join(out)
 

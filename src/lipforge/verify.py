@@ -258,22 +258,27 @@ def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
     ||f(x + h e_i) - f(x) - h J[:, i]|| / h are both within
     rich_tol * max(1, ||J_{h/2}||).  The one-sided probe catches kinks that
     sit exactly at the sample point, where central differences cancel.
-    Returns (passed, worst relative residual, worst point).
+    Returns (passed, worst relative residual, worst point): the first point
+    with the largest residual, or None when none is positive.  A NaN
+    residual fails the check and is the worst.  f is evaluated three times,
+    at all points at once, so each row's value must not depend on the batch.
     """
     h1, h2 = float(steps[0]), float(steps[1])
-    worst = 0.0
-    worst_pt = None
-    for x in np.atleast_2d(np.asarray(pts, dtype=float)):
-        J1 = fd_jacobian(f, x, h1)
-        J2 = fd_jacobian(f, x, h2)
-        scale = max(1.0, float(np.max(np.abs(J2))))
-        rel = float(np.max(np.abs(J1 - J2))) / scale
-        f0 = f(x)
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = h1
-            model = float(np.max(np.abs(f(x + e) - f0 - h1 * J2[:, i]))) / h1
-            rel = max(rel, model / scale)
-        if rel > worst:
-            worst, worst_pt = rel, x
-    return worst <= rich_tol, worst, worst_pt
+    X = np.atleast_2d(np.asarray(pts, dtype=float))
+    n, d = X.shape
+    if n == 0:
+        return True, 0.0, None
+    J1 = fd_jacobian(f, X, h1)
+    J2 = fd_jacobian(f, X, h2)
+    # f(x), then f(x + h1 e_i) for each i, at every point in one call
+    probes = np.concatenate([X[:, None, :], X[:, None, :] + h1 * np.eye(d)], axis=1)
+    F = f.eval(probes.reshape(-1, d)).reshape(n, d + 1, -1)
+    scale = np.maximum(1.0, np.max(np.abs(J2), axis=(1, 2)))
+    model = np.max(np.abs(F[:, 1:] - F[:, :1] - h1 * J2.transpose(0, 2, 1)), axis=2) / h1
+    rel = np.max(np.column_stack([np.max(np.abs(J1 - J2), axis=(1, 2)), model]),
+                 axis=1) / scale
+    k = int(np.argmax(rel))  # the first NaN if there is one
+    if rel[k] == 0.0:
+        return True, 0.0, None
+    worst = float(rel[k])
+    return worst <= rich_tol, worst, X[k]

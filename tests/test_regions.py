@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,32 @@ def test_four_corner_counts_and_area():
         lo, side = four_corner_squares(level, 0.25)
         assert len(lo) == 4 ** level
         assert side == pytest.approx(0.25 ** level)
+
+
+def _four_corner_lows(level, ratio):
+    """The lows of the level's boxes built one box at a time: the oracle."""
+    lo = np.array([[0.0, 0.0]])
+    side = 1.0
+    for _ in range(level):
+        new = []
+        for base in lo:
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                new.append(base + np.array([dx, dy]) * (side - ratio * side))
+        lo = np.array(new)
+        side *= ratio
+    return lo, lo + side
+
+
+def test_four_corner_boxes_match_the_box_loop():
+    # the loop takes 0.4 s at level 8, so other ratios stop at level 6
+    for ratio, top in ((0.25, 8), (0.3, 6), (0.5, 6)):
+        for level in range(top + 1):
+            E = gen_four_corner(level, ratio)
+            lo, hi = _four_corner_lows(level, ratio)
+            assert np.array_equal(E.lo, lo) and np.array_equal(E.hi, hi), (ratio, level)
+    t0 = time.perf_counter()
+    assert gen_four_corner(10).n_boxes == 4 ** 10
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_region_doc_round_trip():

@@ -1,4 +1,5 @@
-"""Node and region documents: the pinned format and round trips.
+"""Node and region documents: the pinned format and round trips, and
+every node's rows evaluated alone and in a batch.
 
 `serialize_docs.json` holds, for every case below, the canonical JSON that
 the hand-written per-class encoders wrote before the field table replaced
@@ -184,6 +185,37 @@ def test_region_doc_pinned_and_round_trips(name, pinned):
     s = Region.from_doc(loads(text))
     assert dumps(s.to_doc()) == text
     _assert_same_region(r, s)
+
+
+def _wide_comb(base):
+    """base averaged over 400 shifts: its chunks hold _CHUNK // 400 rows, so
+    PTS spans several chunk boundaries."""
+    shifts = np.random.default_rng(1).uniform(-0.05, 0.05, (400, 2))
+    return ConvexShiftCombFn(base, shifts, np.full(400, 1.0 / 400))
+
+
+@pytest.mark.parametrize("name", sorted(NODE_CASES))
+def test_node_rows_do_not_depend_on_the_batch(name):
+    # batched callers (c1_check, the chunked shift combination) rely on a
+    # row's value being the same bits alone and inside any batch
+    assert len(PTS) > 2 * (ConvexShiftCombFn._CHUNK // 400)
+    f = NODE_CASES[name]()
+    for g in (f, _wide_comb(f)):
+        batch = g.eval(PTS)
+        alone = np.vstack([g.eval(x[None]) for x in PTS])
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64)), g.tag
+
+
+@pytest.mark.xfail(strict=True, reason="LocalAffineSurgeryFn.eval applies T through "
+                   "BLAS, whose kernel for one row fuses its multiply-adds in "
+                   "another order than for several rows")
+def test_surgery_rows_with_a_full_operator_do_not_depend_on_the_batch():
+    f = LocalAffineSurgeryFn(_lin(), [[0.0, 0.0], [1.0, 1.0]], Fraction(1, 4),
+                             Fraction(1, 8), Fraction(1, 16),
+                             [[0.5, 0.3], [0.1, -0.5]], LINF)
+    X = np.random.default_rng(0).uniform(-0.2, 0.2, (300, 2))
+    alone = np.vstack([f.eval(x[None]) for x in X])
+    assert np.array_equal(f.eval(X).view(np.int64), alone.view(np.int64))
 
 
 def test_unknown_tag_and_kind_rejected():

@@ -336,6 +336,63 @@ def test_l2_norm_keeps_in_range_bits(rows):
     assert got == pytest.approx(np.hypot(Y[:, 0], Y[:, 1]), rel=1e-15, abs=1e-300)
 
 
+def _reduction_norm(sp, X):
+    """NormedSpace.norm written with NumPy's axis reductions (np.sum / np.max),
+    rescaling the rows whose power sum leaves float range."""
+    if sp.kind == "polyhedral":
+        return np.max((X[:, None, :] * sp._functionals).sum(axis=2), axis=1)
+    Y = X if sp._weights is None else X * sp._scale_vec()
+    p = sp._p
+    if np.isinf(p):
+        return np.max(np.abs(Y), axis=1)
+    if p == 1:
+        return np.sum(np.abs(Y), axis=1)
+
+    def power_sum(Z):
+        return np.sum(Z * Z if p == 2 else np.abs(Z) ** p, axis=1)
+
+    def root(s):
+        return np.sqrt(s) if p == 2 else s ** (1.0 / p)
+
+    with np.errstate(over="ignore", under="ignore"):
+        s = power_sum(Y)
+        out = root(s)
+        m = np.max(np.abs(Y), axis=1)
+        redo = (m > 0) & (m < np.inf) & ((s < np.finfo(float).tiny) | (s == np.inf))
+        out[redo] = m[redo] * root(power_sum(Y[redo] / m[redo, None]))
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_norm_bits_match_numpy_reductions(rng):
+    # below 8 coordinates the norm reduces one column at a time; the bits,
+    # signed zeros included, must be those of NumPy's axis reduction
+    hexagon = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+    for d in range(1, 10):
+        X = rng.normal(size=(2000, d)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+        edge = np.zeros((7, d))
+        edge[1] = -0.0
+        edge[2, 1:] = -0.0     # a polyhedral sum of -0.0 terms is +0.0
+        edge[3, 0] = 1e200     # every power with p >= 2 overflows
+        edge[4, -1] = -1e-200  # and underflows
+        edge[5] = 1e-170
+        edge[6] = 1e160
+        X = np.vstack([X, edge])
+        spaces = [lp_space(d, p) for p in (1, 1.5, 2, 3, "inf")]
+        spaces += [NormedSpace(d, {"kind": "weighted-lp", "p": p,
+                                   "weights": rng.uniform(0.25, 4.0, d)})
+                   for p in (1, 1.5, 2, 3, "inf")]
+        if d == 2:
+            spaces += [NormedSpace(2, {"kind": "polyhedral", "vertices": v})
+                       for v in ([[1, 1], [1, -1]], hexagon)]
+        for sp in spaces:
+            assert _same_bits(sp.norm(X), _reduction_norm(sp, X)), (d, sp.kind, sp._p)
+
+
 @st.composite
 def _spaces(draw, d):
     kind = draw(st.sampled_from(("lp", "weighted-lp", "polyhedral")))

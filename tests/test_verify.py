@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lipforge.errors import DomainError
-from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, OuterFn,
+from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, LipFn, OuterFn,
                          PlateauFn, ProductFn, RadialBumpFn, SumFn, ZeroFn)
 from lipforge.regions import box_region
 from lipforge.smooth import MollifierSpec, mollify
@@ -172,6 +172,74 @@ def test_c1_check_passes_smooth_fails_kink(l2_2):
     kink = DistFn(l2_2, np.zeros(2))
     ok2, worst2, pt = c1_check(kink, [[0.0, 0.0]])
     assert not ok2
+
+
+def _c1_check_per_point(f, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
+    """c1_check as a loop over the points, five evaluations each: the
+    oracle for the batched check on maps without NaN."""
+    h1, h2 = float(steps[0]), float(steps[1])
+    worst = 0.0
+    worst_pt = None
+    for x in np.atleast_2d(np.asarray(pts, dtype=float)):
+        J1 = fd_jacobian(f, x, h1)
+        J2 = fd_jacobian(f, x, h2)
+        scale = max(1.0, float(np.max(np.abs(J2))))
+        rel = float(np.max(np.abs(J1 - J2))) / scale
+        f0 = f(x)
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = h1
+            model = float(np.max(np.abs(f(x + e) - f0 - h1 * J2[:, i]))) / h1
+            rel = max(rel, model / scale)
+        if rel > worst:
+            worst, worst_pt = rel, x
+    return worst <= rich_tol, worst, worst_pt
+
+
+def test_c1_check_matches_per_point_loop(l1_2, l2_2, linf_2):
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(-1, 1, (12, 2)), np.zeros((1, 2)),
+                     # mirror images: the same residual, the first one is kept
+                     [[0.3, 0.3], [-0.3, 0.3]]])
+    maps = [LinearFn([[0.2, -0.1], [0.7, 1.0 / 3.0]]), ZeroFn(2, 1),
+            DistFn(l2_2, np.zeros(2)), DistFn(linf_2, np.zeros(2)),
+            mollify(DistFn(l1_2, [0.1, 0.0]), MollifierSpec(0.1, 2, order=12)),
+            PlateauFn([-1, -1], [1, 1], [-0.5, -0.5], [0.5, 0.5])]
+    for f in maps:
+        for steps in ((1e-3, 5e-4), (1e-5, 5e-6)):
+            want = _c1_check_per_point(f, pts, steps)
+            got = c1_check(f, pts, steps)
+            assert got[:2] == want[:2], f.tag
+            assert (got[2] is None) == (want[2] is None), f.tag
+            if want[2] is not None:
+                assert np.array_equal(got[2], want[2]), f.tag
+    assert c1_check(ZeroFn(2, 1), pts) == (True, 0.0, None)
+    _, _, pt = c1_check(DistFn(linf_2, np.zeros(2)), pts[-2:])
+    assert np.array_equal(pt, [0.3, 0.3])
+    assert c1_check(ZeroFn(2, 1), np.zeros((0, 2))) == (True, 0.0, None)
+
+
+class _NanRightOf(LipFn):
+    """x_1 on x_1 <= cut, NaN to its right."""
+
+    def __init__(self, cut):
+        super().__init__(2, 1)
+        self.cut = cut
+
+    def eval(self, X):
+        return np.where(X[:, :1] <= self.cut, X[:, :1], np.nan)
+
+
+def test_c1_check_fails_a_nan_map(l2_2):
+    # a NaN residual used to compare false with the worst so far and pass
+    passed, worst, pt = c1_check(_NanRightOf(-1.0), [[0.1, 0.2], [0.3, 0.4]])
+    assert not passed and np.isnan(worst)
+    assert np.array_equal(pt, [0.1, 0.2])
+    # NaN at the second point only: it is the worst, ahead of a kink
+    kinked = SumFn([_NanRightOf(0.25), DistFn(l2_2, np.zeros(2))])
+    passed, worst, pt = c1_check(kinked, [[0.0, 0.0], [0.3, 0.4]])
+    assert not passed and np.isnan(worst)
+    assert np.array_equal(pt, [0.3, 0.4])
 
 
 def test_c1_check_mollified_kink(l1_2, l2_2):
