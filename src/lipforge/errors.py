@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one size cap."""
+
+DP_NODE_CAP = 4_000_000  # largest DP lattice; about 220 bytes a node at 18 steps
 
 
 class LipforgeError(Exception):
@@ -59,3 +61,11 @@ class HypothesisError(LipforgeError):
 
 class ExactEvalUnsupported(LipforgeError):
     """Requested exact (rational) evaluation on a node or norm without it."""
+
+
+def check_size(count, what):
+    """BudgetError unless count, an int or a float that may be inf or nan,
+    is at most DP_NODE_CAP, the one cap on the nodes, boxes, points, steps
+    and bases a construction allocates; what names them."""
+    if not count <= DP_NODE_CAP:
+        raise BudgetError("%s exceeds the cap of %d" % (what, DP_NODE_CAP))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ExactEvalUnsupported, InputError
 from .serialize import CODECS, dec_float, dec_vec, decode_fields, encode_fields
-from .spaces import NormedSpace
+from .spaces import NormedSpace, pair_blocks
 
 _REGISTRY = {}
 
@@ -418,7 +418,7 @@ class LocalAffineSurgeryFn(LipFn):
         self.scale = (self.s - self.beta) / self.s
         # T = (s / (s - beta)) L so that scale * T = L exactly in rationals
         self.T_exact = [[Fraction(float(v)) / self.scale for v in row] for row in self.Lmat]
-        self.T_f = np.array([[float(v) for v in row] for row in self.T_exact])
+        self.T_f = LinearFn([[float(v) for v in row] for row in self.T_exact])
         self.lip_bound = lip_bound
         self.s_f, self.beta_f, self.alpha_f = float(self.s), float(self.beta), float(self.alpha)
         self.scale_f = float(self.scale)
@@ -441,27 +441,26 @@ class LocalAffineSurgeryFn(LipFn):
         X = np.asarray(X, dtype=float)
         out = self.f.eval(X).copy()
         s, b, a = self.s_f, self.beta_f, self.alpha_f
-        if s > 0.0:
-            for c in self.centers[::-1]:  # the first center writes last
-                w = X - c
-                dist = self.space.norm(w)
-                m = dist < s
-                if not m.any():
-                    continue
-                sub = w[m]
-                dd = dist[m]
-                vals = np.empty((int(m.sum()), self.l))
-                fxi = self.f.eval(c.reshape(1, -1))[0]
+        C = self.centers
+        if s > 0.0 and len(C):
+            fc = self.f.eval(C)
+            for blk in pair_blocks(len(X), len(C)):
+                D = self.space.dists(X[blk], C)
+                near = D < s
+                rows = np.flatnonzero(near.any(axis=1))
+                k = near[rows].argmax(axis=1)  # the first center within s
+                dd = D[rows, k]
+                sub = X[blk][rows] - C[k]
+                vals = np.empty((len(rows), self.l))
                 mA = dd > b
                 if mA.any():
                     t = s * (dd[mA] - b) / (dd[mA] * (s - b))
-                    vals[mA] = self.f.eval(c + t[:, None] * sub[mA])
+                    vals[mA] = self.f.eval(C[k[mA]] + t[:, None] * sub[mA])
                 mB = ~mA
-                if mB.any():
-                    dB = dd[mB]  # lam = 1 on the alpha-core, also when b == a in floats
-                    lam = np.divide(b - dB, b - a, out=np.ones(len(dB)), where=dB > a)
-                    vals[mB] = fxi + lam[:, None] * (sub[mB] @ self.T_f.T)
-                out[m] = vals
+                dB = dd[mB]  # lam = 1 on the alpha-core, also when b == a in floats
+                lam = np.divide(b - dB, b - a, out=np.ones(len(dB)), where=dB > a)
+                vals[mB] = fc[k[mB]] + lam[:, None] * self.T_f.eval(sub[mB])
+                out[blk][rows] = vals
         return self.scale_f * out
 
     def eval_exact(self, x):

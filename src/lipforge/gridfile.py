@@ -15,8 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import InputError
-from .regions import check_size
+from .errors import InputError, check_size
 
 MAGIC = b"LFGF"
 VERSION = 1

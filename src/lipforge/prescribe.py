@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, NormError
+from .errors import DomainError, GeometryError, NormError, check_size
 from .fn import LipFn, LocalAffineSurgeryFn, as_fraction
-from .regions import BoxUnion, Region, check_size
-from .spaces import LinOp, NormedSpace
+from .regions import BoxUnion, Region
+from .spaces import LinOp, NormedSpace, pair_blocks
 
 
 @dataclass
@@ -34,15 +34,9 @@ def _candidate_points(E, step):
     axes = [np.arange(lo[i], hi[i] + step * 0.5, step) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    extras = []
     if isinstance(E, BoxUnion):
-        extras.append((E.lo + E.hi) / 2.0)
-        extras.append(E.lo)
-        extras.append(E.hi)
-    if extras:
-        pts = np.vstack([pts] + extras)
-    keep = E.contains(pts)
-    return pts[keep]
+        pts = np.vstack([pts, (E.lo + E.hi) / 2.0, E.lo, E.hi])
+    return pts[E.contains(pts)]
 
 
 def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace) -> Net:
@@ -58,35 +52,24 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace) -> Net:
     if not bool(Q.contains(np.vstack(E.bounds("E"))).all()):
         raise DomainError("E must lie inside the interior of Q")
     pts = _candidate_points(E, 2.0 ** (-kmax) / 4.0)
-    if len(pts):
-        qdist = Q.dist_to_boundary(pts)
-    else:
-        qdist = np.zeros(0)
-
-    levels = []
-    prev = np.zeros((0, pts.shape[1] if len(pts) else E.dim))
+    qdist = Q.dist_to_boundary(pts)
+    levels, prev = [], pts[:0]
     for k in range(1, kmax + 1):
         sep = 2.0 ** (-k)
-        ek = pts[qdist >= sep] if len(pts) else pts
-        chosen = [p for p in prev]
-        order = np.lexsort(ek.T[::-1]) if len(ek) else []
-        for idx in order:
-            p = ek[idx]
-            if not chosen:
-                chosen.append(p)
-                continue
-            if np.min(space.norm(np.array(chosen) - p)) >= sep:
-                chosen.append(p)
-        # drop inherited points that fell out of E_k? nesting requires keeping
-        # them; the construction only seeds level k with points that satisfy
-        # the level-k boundary gap, so filter the seed first
-        levels.append(np.array(chosen) if chosen else np.zeros((0, E.dim)))
-        # next level seeds with this level filtered by the deeper boundary gap
-        if len(levels[-1]):
-            gd = Q.dist_to_boundary(levels[-1])
-            prev = levels[-1][gd >= 2.0 ** (-(k + 1))]
-        else:
-            prev = levels[-1]
+        ek = pts[qdist >= sep]
+        ek = ek[np.lexsort(ek.T[::-1])]
+        # live: the candidates at least sep, as ||chosen - candidate||, from
+        # every point chosen so far (a polyhedral norm taken from a hull need
+        # not be symmetric to the last bit)
+        live = np.ones(len(ek), dtype=bool)
+        for blk in pair_blocks(len(prev), len(ek)):
+            live &= np.all(space.dists(prev[blk], ek) >= sep, axis=0)
+        for i in range(len(ek)):  # a candidate still live when reached is chosen
+            if live[i]:
+                live[i + 1:] &= space.norm(ek[i] - ek[i + 1:]) >= sep
+        levels.append(np.vstack([prev, ek[live]]))
+        # the next level is seeded with the points that keep its boundary gap
+        prev = levels[-1][Q.dist_to_boundary(levels[-1]) >= sep / 2]
     return Net(levels)
 
 
@@ -125,10 +108,11 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
         raise NormError("need ||L|| <= 1 - r (certified): ub=%g, 1-r=%g"
                         % (L.opnorm_ub, 1.0 - float(r_fr)))
     if check_geometry:
-        for i in range(len(gamma)):
-            for j in range(i + 1, len(gamma)):
-                if float(space.norm(gamma[i] - gamma[j])) < 4.0 * s_f - 1e-12:
-                    raise GeometryError("centers are not 4s-separated")
+        for blk in pair_blocks(len(gamma), len(gamma)):
+            # the pairs (i, j), i < j, of the block's rows i
+            close = space.dists(gamma[blk], gamma) < 4.0 * s_f - 1e-12
+            if np.triu(close, blk.start + 1).any():
+                raise GeometryError("centers are not 4s-separated")
         bd = Q.dist_to_boundary(gamma)
         if np.min(bd) < 4.0 * s_f - 1e-12:
             raise GeometryError("centers are closer than 4s to the boundary")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, InputError
+from .errors import DomainError, InputError, check_size
 from .serialize import CODECS, decode_fields, encode_fields
-from .spaces import Functional
+from .spaces import Functional, pair_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,7 @@ class BallUnion(Region):
         self.dim = self.centers.shape[1]
 
     def _dists(self, X):
-        X = self._points(X)
-        return np.stack([self.space.norm(X - c) for c in self.centers], axis=1)
+        return self.space.dists(self._points(X), self.centers)
 
     def contains(self, X):
         D = self._dists(X)
@@ -386,6 +385,7 @@ class CurveSpec:
         if d != 2:
             raise InputError("lattice curve estimator supports d = 2")
         k = int(self.k)
+        check_size((2 * k + 1) ** 2, "%d x %d candidate steps" % (2 * k + 1, 2 * k + 1))
         dirs = []
         pn = self.P.dual_norm
         for i in range(-k, k + 1):
@@ -396,17 +396,6 @@ class CurveSpec:
                 if self.P(u) >= self.alpha * float(self.P.space.norm(u)) * pn and self.P(u) > 0:
                     dirs.append((i, j))
         return dirs
-
-
-DP_NODE_CAP = 4_000_000  # largest DP lattice; about 220 bytes a node at 18 steps
-
-
-def check_size(count, what):
-    """BudgetError unless count, an int or a float that may be inf or nan,
-    is at most DP_NODE_CAP, the one cap on the lattice nodes, boxes, sample
-    points and directions a construction allocates; what names them."""
-    if not count <= DP_NODE_CAP:
-        raise BudgetError("%s exceeds the cap of %d" % (what, DP_NODE_CAP))
 
 
 class LatticeDP:
@@ -563,14 +552,12 @@ def pu_cover(E, P: Functional, eps, budget=6):
     best = None
     for m in range(0, min(int(budget), nmax) + 1):
         lo_m, side = four_corner_squares(m, ratio)
-        # keep level-m squares that meet E
-        keep = []
-        for lo_sq in lo_m:
-            sq_lo, sq_hi = lo_sq, lo_sq + side
-            overlap = np.all((E.lo < sq_hi[None]) & (E.hi > sq_lo[None]), axis=1)
-            if overlap.any():
-                keep.append(lo_sq)
-        keep = np.array(keep) if keep else lo_m[:0]
+        # keep level-m squares that meet E, pair_blocks of squares at a time
+        meets = np.zeros(len(lo_m), dtype=bool)
+        for blk in pair_blocks(len(lo_m), len(E.lo)):
+            sq = lo_m[blk, None]
+            meets[blk] = np.all((E.lo < sq + side) & (E.hi > sq), axis=2).any(axis=1)
+        keep = lo_m[meets]
         margin = 0.25 * side
         G = BoxUnion(keep - margin, keep + side + margin, open_=True,
                      meta={"cover-of-level": m})

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DescriptorError, ExactEvalUnsupported, FamilyError, InputError
+from .errors import (DescriptorError, ExactEvalUnsupported, FamilyError, InputError,
+                     check_size)
 from .serialize import CODECS, dec_float, dec_mat, enc_float, enc_mat
 
 _VERTEX_DIM_CAP = 12  # enumerate 2^d cube corners only up to this dimension
@@ -29,6 +30,16 @@ def _as_matrix(rows):
     if m.ndim == 1:
         m = m.reshape(1, -1)
     return m
+
+
+PAIR_BLOCK = 1 << 14  # point-center pairs formed at once, cache-sized
+
+
+def pair_blocks(n, m):
+    """Slices of range(n) whose rows, each paired with m centers, make at
+    most PAIR_BLOCK pairs (one row at least)."""
+    step = max(1, PAIR_BLOCK // max(m, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _dedupe_rows(m):
@@ -146,7 +157,7 @@ class NormedSpace:
     # ---- evaluation -----------------------------------------------------
 
     def norm(self, X):
-        """Vectorized norm; X is (d,) or (N, d)."""
+        """Vectorized norm of X, (d,) or (N, d); a row has the same bits in any batch."""
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         if single:
@@ -187,6 +198,22 @@ class NormedSpace:
             F = self._functionals
             out = np.max(_reduce_cols(np.add, X[:, None, :] * F), axis=1)
         return out[0] if single else out
+
+    def dists(self, X, C):
+        """(n, m) array of ||x_i - c_j|| for n points X and m centers C; entry
+        (i, j) has the bits of norm(x_i - c_j).  The differences are formed
+        in pair_blocks, so the memory beyond the result stays bounded."""
+        X, C = _as_matrix(X), _as_matrix(C)
+        if X.shape[1] != self.dim or C.shape[1] != self.dim:
+            raise InputError("points and centers have %d and %d coordinates; the space "
+                             "has %d" % (X.shape[1], C.shape[1], self.dim))
+        out = np.empty((len(X), len(C)))
+        for blk in pair_blocks(len(X), len(C)):
+            Y = np.empty(out[blk].shape + (self.dim,))
+            for j in range(self.dim):  # by column: a short inner axis is slow
+                np.subtract(X[blk, j, None], C[:, j], out=Y[..., j])
+            out[blk] = self.norm(Y.reshape(-1, self.dim)).reshape(Y.shape[:2])
+        return out
 
     def _scale_vec(self):
         """Diagonal D with ||x||_{w,p} = ||D x||_p."""
@@ -542,6 +569,7 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
     """
     if not budget >= 0:
         raise InputError("budget must be >= 0, got %r" % (budget,))
+    check_size(budget + 1, "%s candidate bases" % (budget + 1))
     M = T.matrix
     u, s, vt = np.linalg.svd(M)
     r = int(np.sum(s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConstructionError, HypothesisError, InputError,
-                     ResolutionError)
+                     ResolutionError, check_size)
 from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, OuterFn, PlateauFn,
                  ProductFn, SumFn, VecScaleFn, ZeroFn)
 from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
-                      LatticeDP, Region, box_region, check_size, pu_cover,
+                      LatticeDP, Region, box_region, pu_cover,
                       room_inside, xi_estimate)
 from .smooth import MollifierSpec, mollify
 from .spaces import Functional, LinOp, cyl_constant, op_norm_upper

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_size
 from .fn import LipFn, as_fraction
-from .regions import check_size
 from .spaces import NormedSpace
 
 
@@ -42,18 +41,11 @@ class DerivScanReport:
 
 
 def _directions(d, n_random, seed, space: NormedSpace):
-    dirs = []
-    eye = np.eye(d)
-    for i in range(d):
-        dirs.append(eye[i])
-        dirs.append(-eye[i])
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_random, d))
-    for v in raw:
-        nv = float(space.norm(v))
-        if nv > 0:
-            dirs.append(v / nv)
-    return np.array(dirs)
+    """+-e_i, then n_random seeded normal draws scaled to unit norm."""
+    raw = np.random.default_rng(seed).standard_normal((n_random, d))
+    nv = space.norm(raw)
+    axes = np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d)
+    return np.vstack([axes, raw[nv > 0] / nv[nv > 0, None]])
 
 
 def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,

@@ -18,9 +18,9 @@ import lipforge
 from lipforge import gridfile, svg
 from lipforge.colormap import TABLE
 from lipforge.cli import run_cli
+from lipforge.errors import DP_NODE_CAP
 from lipforge.fn import DistFn, LinearFn, fn_to_file_doc
-from lipforge.regions import (DP_NODE_CAP, Complement, EmptyRegion, box_region,
-                              gen_four_corner)
+from lipforge.regions import Complement, EmptyRegion, box_region, gen_four_corner
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
@@ -365,6 +365,9 @@ def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
      "--points", "200001"],  # 20 samples a point
     ["verify", "--fn", "{fn}", "--point", "0,0", "--ops", "{op}",
      "--scales", "0.1", "--dirs", "4000001"],
+    ["cyl", "--op", "{op}", "--budget", "4000000"],  # the identity and 4M bases
+    ["xi", "--region", "{Q}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25",
+     "--k", "1000"],  # 2001 x 2001 candidate steps
 ])
 def test_exit_code_size_flag_past_the_cap(files, tmp_path, capsys, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]

@@ -9,7 +9,7 @@ from lipforge.errors import (ExactEvalUnsupported, GeometryError, InputError,
                              NormError)
 from lipforge.fn import LinearFn, LocalAffineSurgeryFn, ZeroFn, as_fraction
 from lipforge.game import IdentityPolicy, certify_transcript, run_bm_game
-from lipforge.prescribe import (build_net, prescribe_derivative,
+from lipforge.prescribe import (_candidate_points, build_net, prescribe_derivative,
                                 prescription_params, region_diameter)
 from lipforge.regions import box_region, gen_four_corner
 from lipforge.spaces import LinOp, NormedSpace, lp_space
@@ -130,6 +130,47 @@ def test_build_net_nested_and_separated(l2_2):
         a, b = net.level(k), net.level(k + 1)
         for p in a:
             assert np.min(np.max(np.abs(b - p), axis=1)) < 1e-12
+
+
+def _greedy_net(E, Q, kmax, space):
+    """build_net's levels by the greedy loop it replaced: one norm call per
+    candidate against every point chosen so far."""
+    pts = _candidate_points(E, 2.0 ** (-kmax) / 4.0)
+    qdist = Q.dist_to_boundary(pts) if len(pts) else np.zeros(0)
+    levels, prev = [], np.zeros((0, E.dim))
+    for k in range(1, kmax + 1):
+        sep = 2.0 ** (-k)
+        ek = pts[qdist >= sep]
+        chosen = list(prev)
+        for p in ek[np.lexsort(ek.T[::-1])]:
+            if not chosen or np.min(space.norm(np.array(chosen) - p)) >= sep:
+                chosen.append(p)
+        levels.append(np.array(chosen) if chosen else np.zeros((0, E.dim)))
+        prev = levels[-1][Q.dist_to_boundary(levels[-1]) >= sep / 2] if chosen else levels[-1]
+    return levels
+
+
+_HEXAGON = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+
+
+@pytest.mark.parametrize("space", [
+    lp_space(2, 1), lp_space(2, 2), lp_space(2, "inf"), lp_space(2, 3),
+    NormedSpace(2, {"kind": "weighted-lp", "p": 2, "weights": [2.0, 0.5]}),
+    NormedSpace(2, {"kind": "polyhedral", "vertices": _HEXAGON}),
+    NormedSpace(2, {"kind": "polyhedral", "functionals": _HEXAGON}),
+], ids=["l1", "l2", "linf", "l3", "weighted-l2", "hexagon-vertices",
+        "hexagon-functionals"])
+@pytest.mark.parametrize("E", [gen_four_corner(1), gen_four_corner(2),
+                               box_region([0.2, 0.3], [0.7, 0.6])],
+                         ids=["four-corner-1", "four-corner-2", "box"])
+def test_build_net_matches_the_greedy_loop(space, E):
+    Q = box_region([-1.0, -1.0], [2.0, 2.0])
+    for kmax in range(1, 6):
+        got = build_net(E, Q, kmax, space=space).levels
+        want = _greedy_net(E, Q, kmax, space)
+        assert len(got) == len(want) == kmax
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), kmax
 
 
 def test_region_diameter(l2_2):

@@ -206,9 +206,6 @@ def test_node_rows_do_not_depend_on_the_batch(name):
         assert np.array_equal(batch.view(np.int64), alone.view(np.int64)), g.tag
 
 
-@pytest.mark.xfail(strict=True, reason="LocalAffineSurgeryFn.eval applies T through "
-                   "BLAS, whose kernel for one row fuses its multiply-adds in "
-                   "another order than for several rows")
 def test_surgery_rows_with_a_full_operator_do_not_depend_on_the_batch():
     f = LocalAffineSurgeryFn(_lin(), [[0.0, 0.0], [1.0, 1.0]], Fraction(1, 4),
                              Fraction(1, 8), Fraction(1, 16),

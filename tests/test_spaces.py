@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lipforge.errors import DescriptorError, InputError
 from lipforge.fn import BlendFn, DistFn, LinearFn, OuterFn
-from lipforge.spaces import (Functional, LinOp, NormedSpace, OperatorFamily,
-                             cyl_constant, dense_ball_sequence, lp_space,
-                             op_norm, op_norm_upper)
+from lipforge.spaces import (PAIR_BLOCK, Functional, LinOp, NormedSpace,
+                             OperatorFamily, cyl_constant, dense_ball_sequence,
+                             lp_space, op_norm, op_norm_upper)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(finite, finite).map(np.array)
@@ -85,6 +85,30 @@ def test_polyhedral_norm_is_row_independent(rng):
         batched = sp.norm(X)
         assert np.array_equal(batched, [sp.norm(x) for x in X])
         assert np.array_equal(batched[5:12], sp.norm(X[5:12]))
+
+
+@pytest.mark.parametrize("space", [
+    lp_space(2, 1), lp_space(2, 1.5), lp_space(2, 2), lp_space(2, "inf"),
+    NormedSpace(2, {"kind": "weighted-lp", "p": 2, "weights": [2.0, 0.5]}),
+    NormedSpace(2, {"kind": "polyhedral",
+                    "vertices": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]}),
+    NormedSpace(2, {"kind": "polyhedral", "vertices": [
+        [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]}),
+], ids=["l1", "l1.5", "l2", "linf", "weighted-l2", "square", "hexagon"])
+def test_dists_has_the_bits_of_each_pair_norm(space):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 2)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+    C = rng.normal(size=(7, 2))
+    want = np.array([[space.norm(x - c) for c in C] for x in X])
+    assert np.array_equal(space.dists(X, C).view(np.int64), want.view(np.int64))
+    # past one block of pairs: the blocks join with the same bits
+    Y = rng.normal(size=(3 * PAIR_BLOCK // len(C), 2))
+    cols = np.stack([space.norm(Y - c) for c in C], axis=1)
+    assert np.array_equal(space.dists(Y, C).view(np.int64), cols.view(np.int64))
+    for n, m in ((0, 7), (40, 0), (0, 0)):
+        assert space.dists(X[:n], C[:m]).shape == (n, m)
+    with pytest.raises(InputError):
+        space.dists(X, np.zeros((3, 1)))
 
 
 def test_bad_descriptor_rejected():
