@@ -198,8 +198,7 @@ def cmd_prescribe(args):
     # exactness certificate at every center, 20 directions each
     n, d = len(gamma), L.dom.dim
     dirs = np.random.default_rng(args.seed).standard_normal((n, 20, d))
-    dirs /= L.dom.norm(dirs.reshape(-1, d)).reshape(n, 20, 1)
-    u = dirs * alpha * 0.9
+    u = dirs / L.dom.norm(dirs.reshape(-1, d)).reshape(n, 20, 1) * alpha * 0.9
     vals = g.eval(np.vstack([gamma, (gamma[:, None] + u).reshape(-1, d)]))
     resid = vals[n:].reshape(n, 20, -1) - vals[:n, None] - u @ L.matrix.T
     worst = float(np.max(L.cod.norm(resid.reshape(n * 20, -1)), initial=0.0))

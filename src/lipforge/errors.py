@@ -64,8 +64,7 @@ class ExactEvalUnsupported(LipforgeError):
 
 
 def check_size(count, what):
-    """BudgetError unless count, an int or a float that may be inf or nan,
-    is at most DP_NODE_CAP, the one cap on the nodes, boxes, points, steps
-    and bases a construction allocates; what names them."""
+    """BudgetError unless count (an int, or a float that may be inf or nan) is at
+    most DP_NODE_CAP, the one cap on what a construction allocates; what names it."""
     if not count <= DP_NODE_CAP:
         raise BudgetError("%s exceeds the cap of %d" % (what, DP_NODE_CAP))

@@ -34,9 +34,15 @@ def _candidate_points(E, step):
     axes = [np.arange(lo[i], hi[i] + step * 0.5, step) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
+    extras = []
     if isinstance(E, BoxUnion):
-        pts = np.vstack([pts, (E.lo + E.hi) / 2.0, E.lo, E.hi])
-    return pts[E.contains(pts)]
+        extras.append((E.lo + E.hi) / 2.0)
+        extras.append(E.lo)
+        extras.append(E.hi)
+    if extras:
+        pts = np.vstack([pts] + extras)
+    keep = E.contains(pts)
+    return pts[keep]
 
 
 def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace) -> Net:
@@ -58,9 +64,8 @@ def build_net(E: Region, Q: Region, kmax: int, space: NormedSpace) -> Net:
         sep = 2.0 ** (-k)
         ek = pts[qdist >= sep]
         ek = ek[np.lexsort(ek.T[::-1])]
-        # live: the candidates at least sep, as ||chosen - candidate||, from
-        # every point chosen so far (a polyhedral norm taken from a hull need
-        # not be symmetric to the last bit)
+        # live: the candidates at least sep, as ||chosen - candidate||, from every
+        # point chosen so far (a hull's polyhedral norm need not be symmetric)
         live = np.ones(len(ek), dtype=bool)
         for blk in pair_blocks(len(prev), len(ek)):
             live &= np.all(space.dists(prev[blk], ek) >= sep, axis=0)

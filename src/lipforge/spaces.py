@@ -200,9 +200,8 @@ class NormedSpace:
         return out[0] if single else out
 
     def dists(self, X, C):
-        """(n, m) array of ||x_i - c_j|| for n points X and m centers C; entry
-        (i, j) has the bits of norm(x_i - c_j).  The differences are formed
-        in pair_blocks, so the memory beyond the result stays bounded."""
+        """(n, m) array of ||x_i - c_j||, entry (i, j) with the bits of norm(x_i - c_j);
+        the differences are formed in pair_blocks, so their memory stays bounded."""
         X, C = _as_matrix(X), _as_matrix(C)
         if X.shape[1] != self.dim or C.shape[1] != self.dim:
             raise InputError("points and centers have %d and %d coordinates; the space "

@@ -19,7 +19,7 @@ from lipforge import gridfile, svg
 from lipforge.colormap import TABLE
 from lipforge.cli import run_cli
 from lipforge.errors import DP_NODE_CAP
-from lipforge.fn import DistFn, LinearFn, fn_to_file_doc
+from lipforge.fn import DistFn, LinearFn, LocalAffineSurgeryFn, fn_to_file_doc
 from lipforge.regions import Complement, EmptyRegion, box_region, gen_four_corner
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
@@ -170,6 +170,28 @@ def test_prescribe_command(files, tmp_path):
     assert rc == 0
     cert = load_path(os.path.join(out, "certificate.json"))
     assert dec_float(cert["exactness_residual"]) <= 1e-9
+
+
+def test_prescribe_nan_residual_fails(files, tmp_path, monkeypatch, capsys):
+    # g is NaN at the centers only, which lip_estimate's random pairs never
+    # hit, so the exactness residual is NaN at every center; a running
+    # max(worst, nan) used to drop it and certify a residual of 0
+    plain = LocalAffineSurgeryFn.eval
+
+    def nan_at_centers(self, X):
+        X = np.asarray(X, dtype=float)
+        out = plain(self, X)
+        out[(X[:, None] == self.centers).all(axis=2).any(axis=1)] = np.nan
+        return out
+
+    monkeypatch.setattr(LocalAffineSurgeryFn, "eval", nan_at_centers)
+    out = str(tmp_path / "presc")
+    rc = run_cli(["prescribe", "--q", files["Q"], "--set", files["E"],
+                  "--op", files["op"], "--r", "0.4", "--s", "0.05",
+                  "--kmax", "1", "--out", out])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "certificate.json"))
 
 
 def test_plot_roundtrip_lfgf(files, tmp_path):
