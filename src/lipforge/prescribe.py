@@ -100,10 +100,12 @@ def prescribe_derivative(f: LipFn, L: LinOp, r, gamma, s, Q: Region,
     g equals ((s - beta)/s) f outside the s-balls around gamma, stays
     1-Lipschitz when f is, and satisfies sup||g - f|| <= r.  g claims
     Lipschitz constant 1 only when f's bound is proven and at most 1, and
-    makes no claim otherwise.
+    makes no claim otherwise.  An empty gamma is a GeometryError.
     """
     space = L.dom
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+    if gamma.size == 0:
+        raise GeometryError("no centers: gamma is empty")
     # radii are compared as exact rationals: deep-game radii underflow floats
     r_fr = as_fraction(r)
     s_f = float(s)

@@ -194,6 +194,21 @@ def test_prescribe_nan_residual_fails(files, tmp_path, monkeypatch, capsys):
     assert not os.path.exists(os.path.join(out, "certificate.json"))
 
 
+def test_prescribe_empty_net_level(files, tmp_path, capsys):
+    # no candidate of E lies 1/2 inside Q, so net level 1 is empty
+    E = str(tmp_path / "E_corner.json")
+    dump_path(box_region([0.9, 0.9], [0.95, 0.95]).to_doc(), E)
+    Q = str(tmp_path / "Q_unit.json")
+    dump_path(box_region([-1.0, -1.0], [1.0, 1.0]).to_doc(), Q)
+    out = str(tmp_path / "presc")
+    rc = run_cli(["prescribe", "--q", Q, "--set", E, "--op", files["op"],
+                  "--r", "0.4", "--s", "0.05", "--kmax", "1", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: no centers: gamma is empty\n"
+    assert not os.path.exists(out)
+
+
 def test_plot_roundtrip_lfgf(files, tmp_path):
     svg_out = str(tmp_path / "f.svg")
     lfgf = str(tmp_path / "f.lfgf")

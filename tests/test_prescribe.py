@@ -97,6 +97,10 @@ def test_geometry_preconditions(l2_2):
     near_edge = np.array([[-0.95, 0.0]])
     with pytest.raises(GeometryError):
         prescribe_derivative(ZeroFn(2, 2), L, 0.5, near_edge, 0.1, Q)
+    for check in (True, False):
+        with pytest.raises(GeometryError, match="no centers"):
+            prescribe_derivative(ZeroFn(2, 2), L, 0.5, np.zeros((0, 2)), 0.1, Q,
+                                 check_geometry=check)
 
 
 def test_deep_game_scale_radii(linf_2):

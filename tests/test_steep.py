@@ -7,11 +7,12 @@ from lipforge.fn import LinearFn, PlateauFn, ZeroFn
 from lipforge.regions import (BallUnion, BoxUnion, Complement, CurveSpec,
                               EmptyRegion, Intersection, LatticeDP, box_region,
                               gen_four_corner)
-from lipforge.spaces import Functional, LinOp, NormedSpace, lp_space
+from lipforge.spaces import Functional, LinOp, NormedSpace, lp_space, op_norm_upper
 from lipforge.steep import (SteepSpec, bmgame_step_pu, build_psi_map,
                             build_pu_map, build_sequence, build_steep,
                             check_steep_properties, enumerate_steep_oracle,
                             pu_map_certificate, slope_radius)
+from lipforge.verify import fd_jacobian
 
 
 def test_steep_zero_functional(l2_2):
@@ -255,6 +256,91 @@ def test_pu_map_numerically_zero_operator(l2_2):
     cert = pu_map_certificate(g, H, U, T, 0.3, n_points=40)
     assert cert["n_H_points"] == 40
     assert all(v for k, v in cert.items() if k.endswith("_ok")), cert
+
+
+def _pu_map_certificate_whole_array(g, H, U, T, theta, n_points, fd_step, seed):
+    """pu_map_certificate as it was with one draw per box and the interior
+    filter run on every drawn row at once: the oracle for the prefix filter."""
+    rng = np.random.default_rng(seed)
+    d = T.dom.dim
+    gap = getattr(g, "gap", 0.0)
+    out = {"gap": float(gap)}
+    grid_h = max((p["grid_h"] for p in getattr(g, "parts", [])), default=1e-3)
+    if fd_step is None:
+        fd_step = 2.0 * grid_h
+    boxes = H
+    while isinstance(boxes, Intersection):
+        boxes = boxes.children[0]
+    if isinstance(boxes, BoxUnion) and boxes.n_boxes > 0:
+        per = max(1, (20 * n_points) // boxes.n_boxes)
+        raw = np.concatenate([rng.uniform(lo_b, hi_b, (per, d))
+                              for lo_b, hi_b in zip(boxes.lo, boxes.hi)])
+    else:
+        lo, hi = H.bounds("H")
+        raw = rng.uniform(lo, hi, (20 * n_points, d))
+    keep = H.contains(raw) & (H.dist_to_boundary(raw) > fd_step * 1.5)
+    pts = raw[keep][:n_points]
+    out["n_H_points"] = int(len(pts))
+    residuals = op_norm_upper(fd_jacobian(g, pts, fd_step) - T.matrix, T.dom, T.cod)
+    worst_fd = np.max(residuals, initial=0.0)
+    out["fd_residual"] = float(worst_fd)
+    out["fd_ok"] = bool(worst_fd <= theta + gap + 1e-9)
+    lo, hi = U.bounds("U")
+    X = rng.uniform(lo - 0.2, hi + 0.2, (20000, d))
+    vals = g.eval(X)
+    out["sup_norm"] = float(np.max(T.cod.norm(vals)))
+    out["sup_ok"] = bool(out["sup_norm"] <= theta + 1e-9)
+    outside = ~U.contains(X)
+    leak = float(np.max(T.cod.norm(vals[outside]))) if outside.any() else 0.0
+    out["support_leak"] = leak
+    out["support_ok"] = bool(leak <= 1e-12)
+    X = X[:4000]
+    Y = X + rng.uniform(-1, 1, X.shape) * 0.05
+    dn = T.dom.norm(X - Y)
+    ok = dn > 1e-9
+    ratios = T.cod.norm(g.eval(X[ok]) - g.eval(Y[ok])) / dn[ok]
+    out["lip_sampled"] = float(np.max(ratios, initial=0.0))
+    cval = getattr(g, "cyl_value", T.opnorm_ub)
+    out["lip_ok"] = bool(out["lip_sampled"] <= cval + theta + gap + 1e-9)
+    return out
+
+
+def test_pu_map_certificate_matches_whole_array_filter(l2_2):
+    E = gen_four_corner(2)
+    U = box_region([-2.0, -2.0], [3.0, 3.0], open_=True)
+    T = LinOp.build(np.array([[0.15, 0.0], [0.0, 0.0]]), l2_2, l2_2)
+    g, H = build_pu_map(E, U, T, 0.25, cover_budget=2)
+    assert isinstance(H, BoxUnion)
+    cases = [
+        (H, None, 40),
+        (Intersection([H, box_region([-0.5, -0.5], [0.6, 1.5], open_=True)]),
+         None, 40),
+        # not a box union: drawn from H's bounding box
+        (BallUnion((E.lo + E.hi) / 2.0, 0.1, l2_2), None, 40),
+        # fewer than n_points rows pass, so every block is filtered
+        (H, 0.022, 23),
+    ]
+    for region, fd_step, n_kept in cases:
+        for seed in (0, 5):
+            cert = pu_map_certificate(g, region, U, T, 0.25, n_points=40,
+                                      fd_step=fd_step, seed=seed)
+            assert cert == _pu_map_certificate_whole_array(
+                g, region, U, T, 0.25, 40, fd_step, seed)
+            if seed == 0:
+                assert cert["n_H_points"] == n_kept
+
+
+def test_pu_map_one_call_draw_matches_per_box_draws(rng):
+    lo = rng.uniform(-1.0, 1.0, (7, 3))
+    boxes = BoxUnion(lo, lo + rng.uniform(0.0, 0.5, (7, 3)))
+    per_box, one_call = np.random.default_rng(16), np.random.default_rng(16)
+    raw = np.concatenate([per_box.uniform(lo_b, hi_b, (11, 3))
+                          for lo_b, hi_b in zip(boxes.lo, boxes.hi)])
+    drawn = one_call.uniform(boxes.lo[:, None], boxes.hi[:, None],
+                             (7, 11, 3)).reshape(-1, 3)
+    assert np.array_equal(drawn, raw)
+    assert one_call.bit_generator.state == per_box.bit_generator.state
+    assert np.array_equal(one_call.uniform(size=5), per_box.uniform(size=5))
 
 
 def test_psi_map_sandwich_and_equality(l2_2, rng):
