@@ -7,17 +7,20 @@ evaluation over Fractions, which is what makes the small-scale increment
 certificates immune to cancellation at microscopic radii.  A node builds its
 rationals once, at its first exact evaluation.
 
-Exact surgery evaluation first rules out, in floats, the centers farther
-than s from the point.  It skips center c only when the float distance D~
-exceeds s + E, where
+Exact evaluation also has a batch form, eval_exact_rows(rows), which sums
+and surgeries pass down whole.  A surgery first rules out, in floats and in
+one pass per batch, the centers farther than s from each row.  It skips
+center c only when the float distance D~ exceeds s + E, where
 
     E = (gamma_{d-1} (1 + u) + 3 u) L M + ((1 + gamma_{d-1}) d + L) eta / 2
 
 is a proven bound on D~ - ||x - c||: u = 2^-53, eta = 2^-1074, gamma_n =
 n u / (1 - n u), L the norm's maximum on the cube [-1, 1]^d and M a float
-bound on max |x_i| + max |c_i| (derived at LocalAffineSurgeryFn.eval_exact).
-A skipped center is one the exact test passes over, so the pre-pass never
-changes a bit.
+bound on max |x_i| + max |c_i| (derived at
+LocalAffineSurgeryFn.eval_exact_rows).  A skipped center is one the exact
+test passes over, so the pre-pass never changes a bit.  The surgery keeps
+its exact value scale f(c) at each center it has used, and when f is
+constant its annulus takes that value without pulling the point back.
 
 Nodes carry an optional certified Lipschitz upper bound `lip_bound`
 (None when no bound is proved for the construction).
@@ -88,6 +91,10 @@ class LipFn:
 
     def eval_exact(self, x):
         raise ExactEvalUnsupported("node %s has no exact evaluation" % self.tag)
+
+    def eval_exact_rows(self, rows):
+        """eval_exact at each point of the sequence rows, in order."""
+        return [self.eval_exact(x) for x in rows]
 
     def to_doc(self):
         return encode_fields(self, {"node": self.tag})
@@ -221,10 +228,16 @@ class SumFn(LipFn):
         return out
 
     def eval_exact(self, x):
-        acc = [Fraction(0)] * self.l
-        for cf, t in zip(self._coeffs_q, self.terms):
-            for i, v in enumerate(t.eval_exact(x)):
-                acc[i] += cf * v
+        return self.eval_exact_rows([x])[0]
+
+    def eval_exact_rows(self, rows):
+        # each term takes the whole batch
+        cfs = self._coeffs_q
+        acc = [[cfs[0] * v for v in fx] for fx in self.terms[0].eval_exact_rows(rows)]
+        for cf, t in zip(cfs[1:], self.terms[1:]):
+            for row, fx in zip(acc, t.eval_exact_rows(rows)):
+                for i, v in enumerate(fx):
+                    row[i] += cf * v
         return acc
 
 
@@ -429,8 +442,8 @@ class LocalAffineSurgeryFn(LipFn):
 
     @functools.cached_property
     def _margin(self):
-        """(_lim0, _rel, max |c|) of eval_exact's far-center test, whose
-        limit is lim = _lim0 + _rel M."""
+        """(_lim0, _rel, max |c|) of eval_exact_rows' far-center test,
+        whose limit is lim = _lim0 + _rel M."""
         d, L = self.space.dim, self.space.cube_bound()
         g = (d - 1) * _U / (1 - (d - 1) * _U)
         return (_float_up(self.s + ((1 + g) * d + L) * _ETA / 2),
@@ -463,10 +476,30 @@ class LocalAffineSurgeryFn(LipFn):
                 out[blk][rows] = vals
         return self.scale_f * out
 
+    @functools.cached_property
+    def _L_q(self):
+        # scale T = L exactly, and L's entries are short rationals
+        return [[as_fraction(v) for v in row] for row in self.Lmat]
+
+    @functools.cached_property
+    def _scaled_f_at_centers(self):
+        """scale f(c) exactly at each center used so far, by center index;
+        read only, never handed out to be changed."""
+        return {}
+
     def eval_exact(self, x):
-        """Exact value at x, a sequence of Fractions: the first center, in
-        center order, within s of x takes the surgery.  Only the centers
-        that a float pre-pass cannot place beyond s are tested exactly.
+        return self.eval_exact_rows([x])[0]
+
+    def eval_exact_rows(self, rows):
+        """Exact values at the points of rows, sequences of Fractions: the
+        first center, in center order, within s of a point takes the
+        surgery.  Only the centers that one float pre-pass over the batch
+        cannot place beyond s are tested exactly.  f is evaluated in two
+        batches: at the centers whose value scale f(c) is not yet cached,
+        and at the rows no center takes together with the annulus rows'
+        pull-back points.  A constant f has f(c + t w) = f(c), so its
+        annulus rows take the cached center value instead.  A core row
+        adds lam L (x - c) to the cached value, as scale T = L exactly.
 
         The pre-pass bound.  Let u = 2^-53, eta = 2^-1074 and gamma_n =
         n u / (1 - n u).  Rounding to nearest gives fl(v) = v (1 + delta) + e,
@@ -489,49 +522,77 @@ class LocalAffineSurgeryFn(LipFn):
             ||x - c|| >= a_j . yh - ||yh - (xh - c)|| - ||xh - x|| >= D~ - E,
             E = (gamma_{d-1} (1 + u) + 3 u) L M + ((1 + gamma_{d-1}) d + L) eta / 2.
         A center is skipped only when D~ > lim >= s + E, so ||x - c|| > s,
-        and the exact test below would pass it over.  lim adds rationals
-        rounded up (_lim0 >= s + the eta term, _rel >= the factor of M) in
-        floats, each step rounded and then moved one float up, which bounds
-        the real sum from above.  As in Shewchuk's adaptive predicates
+        and the exact test would pass it over.  lim adds rationals rounded
+        up (_lim0 >= s + the eta term, _rel >= the factor of M) in floats,
+        each step rounded and then moved one float up, which bounds the
+        real sum from above.  As in Shewchuk's adaptive predicates
         (Discrete Comput. Geom. 18, 1997), floats decide only where the
-        bound proves the answer.  The bound assumes no overflow: an x that
+        bound proves the answer.  The bound assumes no overflow: a row that
         float() cannot convert keeps every center, a NaN or infinite D~ its
         own, and an infinite M gives lim = inf.
         """
         if not self.space.exact_capable:
             raise ExactEvalUnsupported("exact norm needs l1 / linf / polyhedral descriptor")
+        if not rows:
+            return []
         s, b, a = self.s, self.beta, self.alpha
-        for k in self._near_centers(x):
-            cf = self._centers_q[k]
-            w = [xi - ci for xi, ci in zip(x, cf)]
-            dd = self.space.norm_exact(w)
-            if dd >= s:
+        const = isinstance(self.f, (ZeroFn, ConstFn))
+        at_f, hits = [], []  # (row, point f is taken at), (row, k, x - c_k, ||x - c_k||)
+        for i, (x, near) in enumerate(zip(rows, self._near_rows(rows))):
+            hit = self._claim(x, near)
+            if hit is None:
+                at_f.append((i, x))
                 continue
-            if dd > b:
+            k, w, dd = hit
+            if dd > b and not const:
                 t = s * (dd - b) / (dd * (s - b))
-                pt = [ci + t * wi for ci, wi in zip(cf, w)]
-                vals = self.f.eval_exact(pt)
+                at_f.append((i, [ci + t * wi for ci, wi in zip(self._centers_q[k], w)]))
             else:
-                fxi = self.f.eval_exact(cf)
+                hits.append((i, k, w, dd))
+        scale, out = self.scale, [None] * len(rows)
+        for (i, _), fy in zip(at_f, self.f.eval_exact_rows([p for _, p in at_f])):
+            out[i] = [scale * v for v in fy]
+        fc = self._scaled_f_at_centers
+        new = sorted({k for _, k, _, _ in hits} - fc.keys())
+        for k, fy in zip(new, self.f.eval_exact_rows([self._centers_q[k] for k in new])):
+            fc[k] = [scale * v for v in fy]
+        for i, k, w, dd in hits:
+            if dd > b:  # f is constant
+                out[i] = list(fc[k])
+            else:
                 lam = Fraction(1) if dd <= a else (b - dd) / (b - a)
-                tv = [sum(r[j] * w[j] for j in range(self.d)) for r in self.T_exact]
-                vals = [fv + lam * t for fv, t in zip(fxi, tv)]
-            return [self.scale * v for v in vals]
-        vals = self.f.eval_exact(x)
-        return [self.scale * v for v in vals]
+                out[i] = [fv + lam * sum(m * wj for m, wj in zip(r, w))
+                          for fv, r in zip(fc[k], self._L_q)]
+        return out
 
-    def _near_centers(self, x):
-        """Indices, in order, of the centers that eval_exact's float bound
-        cannot place farther than s from x."""
-        try:
-            xh = [float(v) for v in x]
-        except OverflowError:
-            return range(len(self.centers))
+    def _claim(self, x, near):
+        """(k, x - c_k, ||x - c_k||) for the first center c_k, k in near,
+        within s of the point x, or None: one row's exact test."""
+        for k in near:
+            w = [xi - ci for xi, ci in zip(x, self._centers_q[k])]
+            dd = self.space.norm_exact(w)
+            if dd < self.s:
+                return k, w, dd
+        return None
+
+    def _near_rows(self, rows):
+        """Per row, the indices, in order, of the centers that
+        eval_exact_rows' float bound cannot place farther than s from it,
+        from one dists call.  A row that float() cannot convert is taken as
+        infinite, which makes its lim infinite and so keeps every center."""
+        XH = np.empty((len(rows), self.d))
+        for i, x in enumerate(rows):
+            try:
+                XH[i] = [float(v) for v in x]
+            except OverflowError:
+                XH[i] = np.inf
         lim0, rel, cmax = self._margin
-        m = max(map(abs, xh)) + cmax
-        lim = math.nextafter(lim0 + math.nextafter(rel * m, math.inf), math.inf)
-        dist = self.space.norm(np.subtract(xh, self.centers))
-        return np.flatnonzero(~((dist > lim) & (dist < math.inf)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.max(np.abs(XH), axis=1) + cmax
+            lim = np.nextafter(lim0 + np.nextafter(rel * m, np.inf), np.inf)
+            D = self.space.dists(XH, self.centers)
+        far = (D > lim[:, None]) & (D < np.inf)
+        return [np.flatnonzero(~row) for row in far]
 
 
 @register

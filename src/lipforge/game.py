@@ -220,12 +220,11 @@ def certify_transcript(t: GameTranscript, dirs=8, seed=0):
     out = []
     for rd in t.rounds:
         worst = Fraction(0)
-        for x in rd.gamma:
-            xf = [as_fraction(float(v)) for v in x]
-            gx = g.eval_exact(xf)
-            for rho in (rd.alpha, rd.alpha / 2):
-                worst = max([worst] + exact_increment_residuals(
-                    g, xf, gx, [t.T], U, rho, rd.alpha))
+        xfs = [[as_fraction(float(v)) for v in x] for x in rd.gamma]
+        for xf, gx in zip(xfs, g.eval_exact_rows(xfs)):
+            rhos, divisors = (rd.alpha, rd.alpha / 2), (rd.alpha, rd.alpha)
+            for per_op in exact_increment_residuals(g, xf, gx, [t.T], U, rhos, divisors):
+                worst = max([worst] + per_op)
         out.append({"level": rd.k, "error": float(worst), "bound": 1.0 / rd.k,
                     "points": len(rd.gamma)})
     return out

@@ -13,6 +13,10 @@ from .errors import DomainError, InputError, check_size
 from .fn import LipFn, as_fraction
 from .spaces import NormedSpace
 
+# points per eval_exact_rows call of exact_increment_residuals, so that its
+# memory stays bounded in the number of directions
+EXACT_ROWS = 256
+
 
 @dataclass
 class DerivScanReport:
@@ -92,12 +96,10 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     errors = np.zeros((len(ops), len(scales)))
     if exact:
         xf = [as_fraction(v) for v in x]
-        f0 = f.eval_exact(xf)
-        Uf = [[as_fraction(v) for v in u] for u in U]
-        for j, r in enumerate(scales):
-            rf = as_fraction(r)
-            errors[:, j] = [float(e) for e in
-                            exact_increment_residuals(f, xf, f0, ops, Uf, rf, rf)]
+        rf = [as_fraction(r) for r in scales]
+        worst = exact_increment_residuals(f, xf, f.eval_exact(xf), ops, U, rf, rf)
+        for j, per_op in enumerate(worst):
+            errors[:, j] = [float(e) for e in per_op]
     else:
         f0 = f(x)
         for j, r in enumerate(scales):
@@ -110,27 +112,35 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     return DerivScanReport(x, [float(s) for s in scales], ops, errors, tol)
 
 
-def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rho, divisor):
-    """Per operator T of ops, max over u in dirs of
-    ||f(x + rho u) - f(x) - T(rho u)|| / divisor, in rationals.
+def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rhos, divisors):
+    """For each radius rho of rhos, with its divisor, the list over the
+    operators T of ops of max over u in dirs of
+    ||f(x + rho u) - f(x) - rho T u|| / divisor, in rationals.
 
-    x, fx = f(x) and the rows of dirs are lists of Fractions, rho and
-    divisor are Fractions; f is evaluated once per direction. Each residual
-    is divided before any float conversion, since it can sit far below
-    float range at microscopic scales; a codomain without an exact norm
-    takes the float norm of the divided residual.
+    x and fx = f(x) are lists of Fractions, the rows of dirs sequences of
+    floats or Fractions (taken exactly), and rhos and divisors sequences of
+    Fractions of one length.  The directions are taken in blocks, so that
+    f is evaluated in eval_exact_rows calls of at most EXACT_ROWS points,
+    once per direction and radius, and T u once per direction.  Each residual is divided before
+    any float conversion, since it can sit far below float range at
+    microscopic scales; a codomain without an exact norm takes the float
+    norm of the divided residual.
     """
     mats = [[[as_fraction(v) for v in row] for row in T.matrix] for T in ops]
-    worst = [Fraction(0)] * len(ops)
-    for u in dirs:
-        y = [rho * ui for ui in u]
-        fy = f.eval_exact([xi + yi for xi, yi in zip(x, y)])
+    worst = [[Fraction(0)] * len(ops) for _ in rhos]
+    step = max(1, EXACT_ROWS // max(1, len(rhos)))
+    for start in range(0, len(dirs), step):
+        block = [[as_fraction(v) for v in u] for u in dirs[start:start + step]]
+        fys = f.eval_exact_rows([[xi + rho * ui for xi, ui in zip(x, u)]
+                                 for rho in rhos for u in block])
         for a, (T, Tm) in enumerate(zip(ops, mats)):
-            rs = [(fy[i] - fx[i] - sum(t * yi for t, yi in zip(row, y))) / divisor
-                  for i, row in enumerate(Tm)]
-            nr = (T.cod.norm_exact(rs) if T.cod.exact_capable
-                  else as_fraction(float(T.cod.norm(np.array([float(v) for v in rs])))))
-            worst[a] = max(worst[a], nr)
+            Tus = [[sum(t * ui for t, ui in zip(row, u)) for row in Tm] for u in block]
+            for j, (rho, dv) in enumerate(zip(rhos, divisors)):
+                for fy, Tu in zip(fys[j * len(block):], Tus):
+                    rs = [(fy[i] - fx[i] - rho * Tu[i]) / dv for i in range(len(Tm))]
+                    nr = (T.cod.norm_exact(rs) if T.cod.exact_capable else
+                          as_fraction(float(T.cod.norm(np.array([float(v) for v in rs])))))
+                    worst[j][a] = max(worst[j][a], nr)
     return worst
 
 
@@ -182,21 +192,18 @@ def dini_check(f: LipFn, x, v, tgrid, margin=1e-3, exact=False) -> DiniReport:
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if exact:
-        num, value = as_fraction, lambda p: f.eval_exact(p)[0]
+        num, values = as_fraction, lambda P: [fy[0] for fy in f.eval_exact_rows(P)]
     else:
-        num, value = float, lambda p: float(f(p)[0])
+        num, values = float, lambda P: [float(f(p)[0]) for p in P]
     xq, vq = [num(q) for q in x], [num(q) for q in v]
-    f0 = value(xq)
-    vals = {}
-    for sign in (1, -1):
-        qs = []
-        for t in tgrid:
-            tq = num(t)
-            pt = [xi + sign * tq * vi for xi, vi in zip(xq, vq)]
-            qs.append(float((value(pt) - f0) / tq))
-        vals[sign] = min(qs)
-    flag = vals[1] < -margin and vals[-1] < -margin
-    return DiniReport(x, v, vals[1], vals[-1], [float(t) for t in tgrid], flag)
+    tq = [num(t) for t in tgrid]
+    # x, then x + t v for each t, then x - t v for each t, in one batch
+    f0, *fv = values([xq] + [[xi + sign * t * vi for xi, vi in zip(xq, vq)]
+                             for sign in (1, -1) for t in tq])
+    plus, minus = (min(float((fy - f0) / t) for fy, t in zip(fv[k:], tq))
+                   for k in (0, len(tq)))
+    flag = plus < -margin and minus < -margin
+    return DiniReport(x, v, plus, minus, [float(t) for t in tgrid], flag)
 
 
 def fd_jacobian(f: LipFn, x, h):

@@ -7,7 +7,7 @@ from lipforge.game import (POLICIES, IdentityPolicy, RandomPolicy,
                            SpoilerPolicy, certify_transcript,
                            multi_operator_run, run_bm_game)
 from lipforge.regions import box_region, gen_four_corner
-from lipforge.spaces import LinOp, lp_space
+from lipforge.spaces import LinOp, NormedSpace, lp_space
 
 
 def _arena():
@@ -81,3 +81,54 @@ def test_multi_operator_shared_point_scan():
     rep = scan_derivative_set(g, x, [ops[1]], [alpha], dirs=8,
                               tol=0.15, exact=True)
     assert rep.verdict(0)
+
+
+_HEXAGON = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+_EXACT_NORMS = {
+    "l1": lp_space(2, 1), "linf": lp_space(2, "inf"),
+    "wl1": NormedSpace(2, {"kind": "weighted-lp", "p": 1, "weights": [0.5, 2.0]}),
+    "wlinf": NormedSpace(2, {"kind": "weighted-lp", "p": "inf", "weights": [0.5, 2.0]}),
+    "hex": NormedSpace(2, {"kind": "polyhedral", "vertices": _HEXAGON}),
+}
+_SWEEP = ["%s-%s-%s" % (a, b, p) for a in _EXACT_NORMS for b in _EXACT_NORMS
+          for p in sorted(POLICIES)]
+# float.hex of the level-1 and level-2 certificate errors of the 15 seeded
+# cases drawn from the 75 (dom, cod, policy) cases of _SWEEP; every norm is
+# a domain and a codomain at least once, and every policy plays
+_SWEEP_PINS = {
+    "l1-l1-seeded-random": ("0x1.99a70ccd16f25p-15", "0x0.0p+0"),
+    "l1-l1-spoiler": ("0x1.999999999999ap-15", "0x0.0p+0"),
+    "l1-linf-spoiler": ("0x1.9999999999998p-15", "0x0.0p+0"),
+    "l1-hex-identity": ("0x1.999999999999ap-15", "0x0.0p+0"),
+    "linf-l1-spoiler": ("0x1.620909c73d954p-14", "0x0.0p+0"),
+    "linf-linf-spoiler": ("0x1.5fa7cc69de844p-14", "0x0.0p+0"),
+    "wl1-l1-spoiler": ("0x1.5151515151515p-15", "0x0.0p+0"),
+    "wl1-wl1-identity": ("0x1.5151515151515p-15", "0x0.0p+0"),
+    "wl1-wlinf-identity": ("0x1.5151515151515p-15", "0x0.0p+0"),
+    "wl1-hex-spoiler": ("0x1.5151515151514p-15", "0x0.0p+0"),
+    "wlinf-l1-seeded-random": ("0x1.83c0cea103221p-15", "0x0.0p+0"),
+    "wlinf-wl1-identity": ("0x1.22017f8b8545dp-15", "0x0.0p+0"),
+    "wlinf-wlinf-spoiler": ("0x1.224a14e743e7bp-15", "0x0.0p+0"),
+    "hex-linf-spoiler": ("0x1.f26563f9f526fp-15", "0x0.0p+0"),
+    "hex-hex-identity": ("0x1.f43475755674dp-15", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(
+    _SWEEP[i] for i in np.random.default_rng(0).choice(len(_SWEEP), 15, replace=False)))
+def test_game_certificates_across_exact_norms(case):
+    # K = 2 on four-corner level 1, with T seeded per (dom, cod) pair and
+    # scaled to ||T|| = 0.7: each level meets error <= 1/k on at least one
+    # point, with the pinned error bits
+    dn, cn, policy = case.split("-", 2)
+    names = list(_EXACT_NORMS)
+    dom, cod = _EXACT_NORMS[dn], _EXACT_NORMS[cn]
+    M = np.random.default_rng(5 * names.index(dn) + names.index(cn)).standard_normal((2, 2))
+    T = LinOp.build(M * (0.7 / LinOp.build(M, dom, cod).opnorm_ub), dom, cod)
+    Q = box_region([-1.0, -1.0], [2.0, 2.0])
+    t = run_bm_game(gen_four_corner(1), Q, T, POLICIES[policy](dom, cod, Q, seed=1), 2)
+    cert = certify_transcript(t, dirs=4, seed=0)
+    for c in cert:
+        assert c["error"] <= c["bound"] == 1.0 / c["level"]
+        assert c["points"] >= 1
+    assert tuple(float.hex(c["error"]) for c in cert) == _SWEEP_PINS[case]

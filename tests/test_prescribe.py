@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from lipforge.errors import (ExactEvalUnsupported, GeometryError, InputError,
                              NormError)
-from lipforge.fn import LinearFn, LocalAffineSurgeryFn, ZeroFn, as_fraction
+from lipforge import spaces
+from lipforge.fn import (ConstFn, LinearFn, LocalAffineSurgeryFn, SumFn, ZeroFn,
+                        as_fraction)
 from lipforge.game import IdentityPolicy, certify_transcript, run_bm_game
 from lipforge.prescribe import (_candidate_points, build_net, prescribe_derivative,
                                 prescription_params, region_diameter)
@@ -272,15 +275,78 @@ def test_surgery_filter_keeps_every_center_past_float_range():
     g = LocalAffineSurgeryFn(LinearFn([[0.3, 0.1], [-0.2, 0.4]]), centers, s,
                              s / 3, s / 7, [[0.1, 0.2], [0.0, -0.3]],
                              lp_space(2, "inf"))
-    for x in ([Fraction(2 ** 1024), Fraction(0)], [Fraction(big), Fraction(0)],
-              [Fraction(3, 40), Fraction(2 ** 1100)]):
-        assert g.eval_exact(x) == _eval_exact_every_center(g, x)
+    rows = [[Fraction(2 ** 1024), Fraction(0)], [Fraction(big), Fraction(0)],
+            [Fraction(3, 40), Fraction(2 ** 1100)]]
+    want = [_eval_exact_every_center(g, x) for x in rows]
+    with warnings.catch_warnings():
+        # max |x| + max |c| overflows for the second row, in one batch too
+        warnings.simplefilter("error")
+        assert [g.eval_exact(x) for x in rows] == want
+        assert g.eval_exact_rows(rows) == want
     x = [Fraction(2 ** 1024), Fraction(0)]
     with pytest.raises(OverflowError):
         float(x[0])
     want = g.scale * (g.f.eval_exact([Fraction(big), Fraction(0)])[0]
                       + g.T_exact[0][0] * (x[0] - Fraction(big)))
     assert g.eval_exact(x)[0] == want
+
+
+def _rows_around_centers(g):
+    """Rows on and about the s, beta and alpha spheres of g's first and last
+    centers and inside each zone, a row within s of the first two centers,
+    rows far from every center and rows past float range."""
+    dirs = [[Fraction(1), Fraction(1, 3)], [Fraction(-2, 7), Fraction(5)]]
+    rows = []
+    for c in g.centers[[0, -1]]:
+        cf = [as_fraction(v) for v in c]
+        for v in dirs:
+            nv = g.space.norm_exact(v)
+            for r in [rr for r in (g.s, g.beta, g.alpha) for rr in _around(r)] + [
+                    g.alpha / 2, (g.alpha + g.beta) / 2, (g.beta + g.s) / 2]:
+                rows.append([ci + r * vi / nv for ci, vi in zip(cf, v)])
+    mid = [(as_fraction(a) + as_fraction(b)) / 2 for a, b in zip(*g.centers[:2])]
+    return rows + [mid, [Fraction(5), Fraction(-5)],
+                   [Fraction(-3), Fraction(2, 5)], [Fraction(2 ** 1024), Fraction(0)],
+                   [Fraction(3, 40), Fraction(2 ** 1100)]]
+
+
+@pytest.mark.parametrize("space", [
+    lp_space(2, 1), lp_space(2, "inf"),
+    NormedSpace(2, {"kind": "weighted-lp", "p": 1, "weights": [2.0, 0.3]}),
+    NormedSpace(2, {"kind": "polyhedral", "vertices": HEXAGON}),
+], ids=["l1", "linf", "weighted-l1", "hexagon"])
+def test_surgery_rows_match_the_per_row_reference(space, monkeypatch):
+    # a batch through eval_exact_rows gives each row the value of eval_exact
+    # and of the every-center reference, on a fresh node and again with its
+    # center values cached; the small PAIR_BLOCK splits the float pre-pass
+    # of a batch into blocks of 12 rows
+    monkeypatch.setattr(spaces, "PAIR_BLOCK", 64)
+    s = Fraction(1, 10)
+    L = [[0.1, 0.2], [0.0, -0.3]]
+    centers = np.array([[0.0, 0.0], [0.0, 0.125], [0.75, 0.0], [0.0, 0.75], [0.3, 0.45]])
+    inner = LocalAffineSurgeryFn(LinearFn([[0.3, 0.1], [-0.2, 0.4]]), centers, s,
+                                 s / 3, s / 7, L, space)
+    nested = SumFn([inner, LinearFn([[0.5, 0.0], [0.25, -0.5]])], [0.5, 0.25])
+    for f in (ZeroFn(2, 2), ConstFn([0.25, -0.5], 2), inner, nested):
+        g = LocalAffineSurgeryFn(f, centers + [0.02, -0.01], s, s / 3, s / 7, L, space)
+        rows = _rows_around_centers(g)
+        zones = set()
+        for x in rows:
+            dd = [space.norm_exact([xi - as_fraction(ci) for xi, ci in zip(x, c)])
+                  for c in g.centers]
+            near = [d for d in dd if d < s]
+            zones.add("far" if not near else "core" if near[0] <= g.alpha else
+                      "ring" if near[0] <= g.beta else "annulus")
+            zones.add("two centers" if len(near) > 1 else "one center or none")
+        assert zones == {"far", "core", "ring", "annulus", "two centers",
+                         "one center or none"}
+        assert len(rows) > 2 * 12
+        want = [_eval_exact_every_center(g, x) for x in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.eval_exact_rows(rows) == want
+            assert [g.eval_exact(x) for x in rows] == want
+            assert g.eval_exact_rows(rows) == want
 
 
 def test_surgery_float_and_exact_take_the_first_center():
@@ -301,31 +367,28 @@ def test_surgery_on_l2_refuses_exact_evaluation():
 
 
 def test_game_certificate_takes_one_exact_norm_per_surgery_evaluation(monkeypatch):
-    # the float pre-pass leaves at most one center to test exactly, as the
-    # centers are 4s-separated; dropping it would test them all
+    # the float pre-pass leaves at most one center to test exactly for each
+    # row of a batch, as the centers are 4s-separated; dropping it would
+    # test them all
     dom = lp_space(2, "inf")
     Q = box_region([-1.0, -1.0], [2.0, 2.0])
     T = LinOp.build(np.array([[0.4, 0.0], [0.0, -0.3]]), dom, dom)
     t = run_bm_game(gen_four_corner(1), Q, T, IdentityPolicy(dom, dom, Q, seed=1), 2)
-    surgery_code = LocalAffineSurgeryFn.eval_exact.__code__
-    eval_exact, norm_exact = LocalAffineSurgeryFn.eval_exact, NormedSpace.norm_exact
-    open_calls = []  # exact norms taken by each surgery eval_exact still running
-    per_call = []
+    claim_code = LocalAffineSurgeryFn._claim.__code__
+    claim, norm_exact = LocalAffineSurgeryFn._claim, NormedSpace.norm_exact
+    per_row = []  # exact norms taken by each row's exact test
 
-    def counted_eval(self, x):
-        open_calls.append(0)
-        try:
-            return eval_exact(self, x)
-        finally:
-            per_call.append(open_calls.pop())
+    def counted_claim(self, x, near):
+        per_row.append(0)
+        return claim(self, x, near)
 
     def counted_norm(self, x):
-        if sys._getframe(1).f_code is surgery_code:
-            open_calls[-1] += 1
+        if sys._getframe(1).f_code is claim_code:
+            per_row[-1] += 1
         return norm_exact(self, x)
 
-    monkeypatch.setattr(LocalAffineSurgeryFn, "eval_exact", counted_eval)
+    monkeypatch.setattr(LocalAffineSurgeryFn, "_claim", counted_claim)
     monkeypatch.setattr(NormedSpace, "norm_exact", counted_norm)
     certify_transcript(t, dirs=4, seed=0)
-    assert len(per_call) > 100
-    assert max(per_call) == 1
+    assert len(per_row) > 100
+    assert max(per_row) == 1
