@@ -626,6 +626,15 @@ def test_steep_empty_region_zero_certificate(tmp_path):
     assert cert["zero"]["ok"] is True
 
 
+def test_steep_tiny_functional_is_not_zero(files, tmp_path):
+    # a functional below 1e-8 is not the zero functional: it gets a grid
+    out = tmp_path / "steep"
+    rc = run_cli(["steep", "--region", files["Q"], "--p", "1e-9,0", "--alpha", "0.3",
+                  "--grid", "0.2", "--out", str(out)])
+    assert rc == 0
+    assert load_path(str(out / "g.json"))["dag"]["node"] == "grid2d"
+
+
 def test_exit_code_resolution_error(files, tmp_path):
     # alpha >= 1 violates the cone-parameter contract
     rc = run_cli(["xi", "--region", files["Q"], "--p", "1,0",

@@ -4,8 +4,9 @@ Every name a module imports is used in that module.  No linter ships with
 the toolchain, so this walks each module's AST: an imported name counts as
 used when it appears as a name anywhere else in the module (a bare name or
 the base of an attribute access). __init__.py is left out: its imports are
-the package's public names.  Importing the CLI loads neither
-scipy.optimize nor scipy.spatial: the functions that need them import them.
+the package's public names.  Importing the CLI, or bracketing the norm of
+an operator between lp spaces, loads neither scipy.optimize nor
+scipy.spatial: only polyhedral norms need scipy.spatial, and import it.
 
 The library holds at most SETTABLE_DEFAULTS settable defaults: keyword
 defaults of functions and lambdas plus dataclass fields with a default,
@@ -153,7 +154,13 @@ def test_patched_attributes():
 
 
 def test_cli_import_leaves_scipy_optimize_and_spatial_unloaded():
-    code = ("import sys, lipforge.cli; print(sorted(m for m in sys.modules "
+    # l3 -> l2 takes the power ascent, l2 -> linf the dual ball's vertices
+    code = ("import sys, numpy as np, lipforge.cli\n"
+            "from lipforge.spaces import LinOp, lp_space\n"
+            "T = np.array([[1.0, 2.0], [3.0, -4.0]])\n"
+            "LinOp.build(T, lp_space(2, 3), lp_space(2, 2))\n"
+            "LinOp.build(T, lp_space(2, 2), lp_space(2, 'inf'))\n"
+            "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.optimize', 'scipy.spatial'))))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -150,13 +150,18 @@ def test_dual_norm_analytic():
 
 
 def test_attain_dir_attains(rng):
-    for p in (1, 2, "inf"):
+    # tiny functionals are not zero, and huge or tiny ones leave the power
+    # sum's float range: each still gets its dual norm and a unit direction
+    for p, q in ((1, np.inf), (1.5, 3.0), (2, 2.0), (3, 1.5), ("inf", 1.0)):
         sp = lp_space(2, p)
-        c = rng.normal(size=2)
-        f = Functional(c, sp)
-        v = np.asarray(f.attain_dir, dtype=float)
-        assert float(sp.norm(v)) == pytest.approx(1.0, abs=1e-9)
-        assert float(c @ v) == pytest.approx(f.dual_norm, rel=1e-9)
+        for scale in (1.0, 1e-9, 1e200, 1e-200):
+            c = rng.normal(size=2) * scale
+            f = Functional(c, sp)
+            v = np.asarray(f.attain_dir, dtype=float)
+            assert float(sp.norm(v)) == pytest.approx(1.0, abs=1e-9)
+            assert float(c @ v) == pytest.approx(f.dual_norm, rel=1e-9)
+            assert f.dual_norm == pytest.approx(scale * np.linalg.norm(c / scale, q),
+                                                rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -445,7 +450,7 @@ def _operator_cases(draw):
 @given(case=_operator_cases())
 def test_op_norm_bounds_are_sound(case):
     dom, cod, rng = case
-    T = rng.normal(size=(cod.dim, dom.dim)) * 10.0 ** rng.uniform(-2, 2)
+    T = rng.normal(size=(cod.dim, dom.dim)) * 10.0 ** rng.uniform(-200, 200)
     ub = op_norm_upper(T, dom, cod)
     lb, ub_bracket, w = op_norm(T, dom, cod)
     X = np.vstack([rng.normal(size=(4000, dom.dim)), w])  # the witness attains lb
@@ -453,6 +458,43 @@ def test_op_norm_bounds_are_sound(case):
     tol = 1e-12 * best
     assert best <= ub + tol
     assert lb - tol <= best <= ub_bracket + tol
+    # exact when the domain ball or the codomain's dual ball is polyhedral
+    # (every l1 / linf codomain here has d <= 12), or for l2 -> l2
+    l2 = dom.kind == cod.kind == "lp" and dom._p == cod._p == 2
+    if dom.unit_ball_vertices() is not None or cod.exact_capable or l2:
+        assert ub_bracket <= lb * (1 + 1e-12)
+
+
+# float.hex of the lb that scipy's Nelder-Mead ascent (12 starts of 400
+# iterations) found for T = default_rng(i).normal(size=(d, d)), i the row;
+# (p, weighted) for dom and cod, weights (0.5, 2.0, 1.25)[:d]
+NELDER_MEAD_LB = [
+    (2, (1.5, 0), (3, 0), "0x1.4920e034b5f3bp-1"),
+    (2, (3, 0), (1.5, 0), "0x1.b70d8f4a0d087p+0"),
+    (2, (500, 0), (1.5, 1), "0x1.23b28129024bfp+2"),
+    (2, (3, 1), (500, 0), "0x1.d4f0ff1fecd9ap+1"),
+    (2, (1.5, 1), (3, 1), "0x1.ac9532e1e47abp+1"),
+    (3, (1.5, 0), (500, 0), "0x1.6b1eedd801944p+0"),
+    (3, (3, 0), (1.5, 1), "0x1.ecb32e91bc2fbp+1"),
+    (3, (500, 1), (3, 0), "0x1.3031b2e0d8e2ep+1"),
+    (3, (1.5, 1), (1.5, 0), "0x1.d256912e845e9p+1"),
+    (3, (3, 1), (3, 1), "0x1.f8ae5d57bc0e9p+0"),
+]
+
+
+def test_power_ascent_keeps_the_nelder_mead_lb():
+    def space(d, p, weighted):
+        if weighted:
+            return NormedSpace(d, {"kind": "weighted-lp", "p": p,
+                                   "weights": [0.5, 2.0, 1.25][:d]})
+        return lp_space(d, p)
+
+    for i, (d, (pd, wd), (pc, wc), pin) in enumerate(NELDER_MEAD_LB):
+        T = np.random.default_rng(i).normal(size=(d, d))
+        dom, cod = space(d, pd, wd), space(d, pc, wc)
+        lb, ub, _ = op_norm(T, dom, cod)
+        assert lb >= float.fromhex(pin) * (1 - 1e-14), i
+        assert ub == max(op_norm_upper(T, dom, cod), lb)
 
 
 @settings(max_examples=60, deadline=None)
