@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 configuration error, 3 certificate violation,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -311,6 +312,7 @@ def cmd_plot(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="lipforge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -406,7 +406,9 @@ class LatticeDP:
     least w, so it leaves an earlier bin: all sources of a bin are final
     before the bin is swept, whatever the bin boundaries. A node takes the
     first step, in step order, that attains its best value, and keeps the
-    inside length of that incoming edge in in_len.
+    inside length of that incoming edge in in_len. A bin finds its sources
+    through an index map whose border holds a sentinel node of value -inf
+    (see _run), so no bin tests the lattice bounds.
     """
 
     def __init__(self, G, spec: CurveSpec, bbox=None, pad=1):
@@ -455,38 +457,56 @@ class LatticeDP:
         return ii * self.shape[1] + jj, boxes
 
     def _run(self):
+        """Sweep the bins in order, all steps of a bin at once.
+
+        A bin gathers its sources through an index map over the lattice
+        widened by the steps' reach (at most the lattice size, since a step
+        past it has no source on the lattice): node indices inside, the
+        sentinel n in the border. best[n] = -inf and the edge table's column
+        n is 0, so no bin tests bounds. Each node is a target once, and its
+        best is still 0 then, so it takes its top candidate when positive.
+        """
         spec = self.spec
         nx, ny = self.shape
+        n, ns = self.n, len(spec.step_set)
         steps = np.array(spec.step_set, dtype=np.int64)
         pv = self.nodes @ spec.P.coeffs
         width = min(spec.P(s.astype(float)) for s in steps) * self.h / 2.0
         bins = np.floor((pv - pv.min()) / width).astype(np.int64)
         order = np.argsort(bins, kind="stable")
         starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
-        ends = np.append(starts[1:], self.n)
-        elens = np.empty((len(steps), self.n))
+        ends = np.append(starts[1:], n)
+        del pv, bins
+        rx, ry = np.minimum(np.abs(steps).max(axis=0), self.shape)
+        wy = ny + 2 * ry
+        node_at = np.full((nx + 2 * rx) * wy, n, dtype=np.int64)
+        node_at.reshape(-1, wy)[rx:rx + nx, ry:ry + ny] = np.arange(n).reshape(nx, ny)
+        # map position of each node in sweep order; node_at[pos] is the node
+        pos = (order // ny + rx) * wy + order % ny + ry
+        del order
+        offs = np.clip(steps[:, :1], -rx, rx) * wy + np.clip(steps[:, 1:], -ry, ry)
+        elens = np.zeros((ns, n + 1))
         for sidx, s in enumerate(spec.step_set):
-            elens[sidx] = self._edge_lengths(s)
-        best = np.zeros(self.n)
-        parent = np.full(self.n, -1, dtype=np.int64)
-        in_len = np.zeros(self.n)
-        rows = np.arange(len(steps))[:, None]
+            elens[sidx, :n] = self._edge_lengths(s)
+        elens = elens.ravel()
+        rows = np.arange(ns)[:, None] * (n + 1)
+        best = np.append(np.zeros(n), -np.inf)
+        parent = np.full(n, -1, dtype=np.int64)
+        in_len = np.zeros(n)
         for a, b in zip(starts, ends):
-            tgt = order[a:b]
-            src_i = tgt // ny - steps[:, :1]
-            src_j = tgt % ny - steps[:, 1:]
-            ok = (src_i >= 0) & (src_i < nx) & (src_j >= 0) & (src_j < ny)
-            src = np.where(ok, src_i * ny + src_j, 0)
-            cand = np.where(ok, best[src] + elens[rows, src], -np.inf)
+            at = pos[a:b]
+            tgt = node_at[at]
+            src = node_at[at - offs]
+            edge = src + rows
+            cand = best[src] + elens[edge]
             sidx = cand.argmax(axis=0)
-            cols = np.arange(len(tgt))
+            cols = np.arange(b - a)
             top = cand[sidx, cols]
-            upd = top > best[tgt]
-            chosen = src[sidx, cols][upd]
-            best[tgt[upd]] = top[upd]
-            parent[tgt[upd]] = chosen * len(steps) + sidx[upd]
-            in_len[tgt[upd]] = elens[sidx[upd], chosen]
-        self.best = best
+            upd = top > 0.0
+            best[tgt] = np.where(upd, top, 0.0)
+            parent[tgt] = np.where(upd, src[sidx, cols] * ns + sidx, -1)
+            in_len[tgt] = np.where(upd, elens[edge[sidx, cols]], 0.0)
+        self.best = best[:n]
         self.parent = parent
         self.in_len = in_len
 

@@ -584,7 +584,8 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
     itself, so the reported value never drops below the certified lower
     bound on ||T||.  Returns the searched value (an upper bound on the true
     minimum) and optionally the basis and duals.  budget, the number of
-    seeded random bases tried beside the identity, must be >= 0.
+    seeded random bases tried beside the identity, must be >= 0.  Below
+    rank 2 there is nothing to search: the value is the identity basis's.
     """
     if not budget >= 0:
         raise InputError("budget must be >= 0, got %r" % (budget,))
@@ -592,10 +593,6 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
     M = T.matrix
     u, s, vt = np.linalg.svd(M)
     r = int(np.sum(s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
-    if r == 0:
-        if return_basis:
-            return 0.0, [], []
-        return 0.0
     U = u[:, :r]  # l x r, orthonormal columns spanning range(T)
     Tc = U.T @ M  # r x d coordinates of T in the U frame
 
@@ -608,41 +605,44 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
         S = np.stack([U @ (B[:, :j] @ (Binv[:j, :] @ Tc)) for j in range(1, r + 1)])
         return float(np.max(op_norm_upper(S, T.dom, T.cod)))
 
-    rng = np.random.default_rng(seed)
-    candidates = [np.eye(r)]
-    for _ in range(int(budget)):
-        B = rng.standard_normal((r, r))
-        B /= np.linalg.norm(B, axis=0, keepdims=True)
-        candidates.append(B)
+    if r <= 1:  # a line's unit bases are +-its column; its one partial sum is T
+        best_val, best_B = (objective(np.eye(1)) if r else 0.0), np.eye(r)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = [np.eye(r)]
+        for _ in range(int(budget)):
+            B = rng.standard_normal((r, r))
+            B /= np.linalg.norm(B, axis=0, keepdims=True)
+            candidates.append(B)
 
-    scored = sorted(((objective(B), i, B) for i, B in enumerate(candidates)),
-                    key=lambda t: (t[0], t[1]))
-    best_val, _, best_B = scored[0]
+        scored = sorted(((objective(B), i, B) for i, B in enumerate(candidates)),
+                        key=lambda t: (t[0], t[1]))
+        best_val, _, best_B = scored[0]
 
-    # coordinate-wise refinement with step halving on the few best candidates
-    for _, _, B in scored[:4]:
-        B = B.copy()
-        val = objective(B)
-        step = 0.1
-        while step >= 1e-6:
-            improved = False
-            for i in range(r):
-                for j in range(r):
-                    for sgn in (1.0, -1.0):
-                        B2 = B.copy()
-                        B2[i, j] += sgn * step
-                        nc = np.linalg.norm(B2[:, j])
-                        if nc <= 1e-12:
-                            continue
-                        B2[:, j] /= nc
-                        v2 = objective(B2)
-                        if v2 < val - 1e-15:
-                            B, val = B2, v2
-                            improved = True
-            if not improved:
-                step *= 0.5
-        if val < best_val:
-            best_val, best_B = val, B
+        # coordinate-wise refinement with step halving on the few best candidates
+        for _, _, B in scored[:4]:
+            B = B.copy()
+            val = objective(B)
+            step = 0.1
+            while step >= 1e-6:
+                improved = False
+                for i in range(r):
+                    for j in range(r):
+                        for sgn in (1.0, -1.0):
+                            B2 = B.copy()
+                            B2[i, j] += sgn * step
+                            nc = np.linalg.norm(B2[:, j])
+                            if nc <= 1e-12:
+                                continue
+                            B2[:, j] /= nc
+                            v2 = objective(B2)
+                            if v2 < val - 1e-15:
+                                B, val = B2, v2
+                                improved = True
+                if not improved:
+                    step *= 0.5
+            if val < best_val:
+                best_val, best_B = val, B
 
     if not return_basis:
         return float(best_val)

@@ -119,12 +119,13 @@ def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rhos, divisors):
 
     x and fx = f(x) are lists of Fractions, the rows of dirs sequences of
     floats or Fractions (taken exactly), and rhos and divisors sequences of
-    Fractions of one length.  The directions are taken in blocks, so that
-    f is evaluated in eval_exact_rows calls of at most EXACT_ROWS points,
-    once per direction and radius, and T u once per direction.  Each residual is divided before
-    any float conversion, since it can sit far below float range at
-    microscopic scales; a codomain without an exact norm takes the float
-    norm of the divided residual.
+    Fractions of one length, the divisors positive.  The directions are
+    taken in blocks, so that f is evaluated in eval_exact_rows calls of at
+    most EXACT_ROWS points, once per direction and radius, and T u once per
+    direction.  No residual becomes a float before its division, as it can
+    sit far below float range at microscopic scales: an exact codomain
+    divides the largest exact norm once (every exact norm is positively
+    homogeneous), any other takes the float norm of the divided residual.
     """
     mats = [[[as_fraction(v) for v in row] for row in T.matrix] for T in ops]
     worst = [[Fraction(0)] * len(ops) for _ in rhos]
@@ -137,11 +138,12 @@ def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rhos, divisors):
             Tus = [[sum(t * ui for t, ui in zip(row, u)) for row in Tm] for u in block]
             for j, (rho, dv) in enumerate(zip(rhos, divisors)):
                 for fy, Tu in zip(fys[j * len(block):], Tus):
-                    rs = [(fy[i] - fx[i] - rho * Tu[i]) / dv for i in range(len(Tm))]
-                    nr = (T.cod.norm_exact(rs) if T.cod.exact_capable else
-                          as_fraction(float(T.cod.norm(np.array([float(v) for v in rs])))))
+                    rs = [fy[i] - fx[i] - rho * Tu[i] for i in range(len(Tm))]
+                    nr = (T.cod.norm_exact(rs) if T.cod.exact_capable else as_fraction(
+                        float(T.cod.norm(np.array([float(v / dv) for v in rs])))))
                     worst[j][a] = max(worst[j][a], nr)
-    return worst
+    return [[w / dv if T.cod.exact_capable else w for w, T in zip(row, ops)]
+            for row, dv in zip(worst, divisors)]
 
 
 def lip_estimate(f: LipFn, Q, pairs=10000, seed=0, dom: NormedSpace = None,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -70,6 +71,27 @@ def test_cyl_identity(files, tmp_path, capsys):
     assert run_cli(["cyl", "--op", files["op"], "--out", out]) == 0
     doc = load_path(out)
     assert dec_float(doc["cyl"]) >= dec_float(doc["opnorm_lb"]) - 1e-9
+
+
+def test_run_cli_parses_with_one_parser(tmp_path, monkeypatch, capsys):
+    # subcommands parse through parse_known_args, so parse_args sees only
+    # the top-level parser, once per run_cli call
+    seen = []
+    plain = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for level in ("0", "1"):
+        out = str(tmp_path / ("cantor%s.json" % level))
+        assert run_cli(["cantor", "--level", level, "--out", out]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_xi_runs(files, tmp_path):

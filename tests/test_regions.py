@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,135 @@ def test_lattice_dp_single_box_value(l2_2):
     wit = dp.witness()
     pv = wit @ np.array([1.0, 0.0])
     assert np.all(np.diff(pv) > 0)
+
+
+def _masked_sweep(dp):
+    """(best, parent, in_len) of dp's lattice by the bin sweep that tests
+    every source against the lattice bounds and scatters through masks."""
+    spec = dp.spec
+    nx, ny = dp.shape
+    steps = np.array(spec.step_set, dtype=np.int64)
+    pv = dp.nodes @ spec.P.coeffs
+    width = min(spec.P(s.astype(float)) for s in steps) * dp.h / 2.0
+    bins = np.floor((pv - pv.min()) / width).astype(np.int64)
+    order = np.argsort(bins, kind="stable")
+    starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
+    ends = np.append(starts[1:], dp.n)
+    elens = np.empty((len(steps), dp.n))
+    for sidx, s in enumerate(spec.step_set):
+        elens[sidx] = dp._edge_lengths(s)
+    best = np.zeros(dp.n)
+    parent = np.full(dp.n, -1, dtype=np.int64)
+    in_len = np.zeros(dp.n)
+    rows = np.arange(len(steps))[:, None]
+    for a, b in zip(starts, ends):
+        tgt = order[a:b]
+        src_i = tgt // ny - steps[:, :1]
+        src_j = tgt % ny - steps[:, 1:]
+        ok = (src_i >= 0) & (src_i < nx) & (src_j >= 0) & (src_j < ny)
+        src = np.where(ok, src_i * ny + src_j, 0)
+        cand = np.where(ok, best[src] + elens[rows, src], -np.inf)
+        sidx = cand.argmax(axis=0)
+        cols = np.arange(len(tgt))
+        top = cand[sidx, cols]
+        upd = top > best[tgt]
+        chosen = src[sidx, cols][upd]
+        best[tgt[upd]] = top[upd]
+        parent[tgt[upd]] = chosen * len(steps) + sidx[upd]
+        in_len[tgt[upd]] = elens[sidx[upd], chosen]
+    return best, parent, in_len
+
+
+def _seeded_region(rng, kind, scale=1.0):
+    """A region of the named kind with one to four boxes (or balls) in
+    [0, scale]^2."""
+    nb = int(rng.integers(1, 5))
+    lo = rng.uniform(0.0, 0.7 * scale, (nb, 2))
+    hi = lo + rng.uniform(0.05 * scale, 0.5 * scale, (nb, 2))
+    if kind == "degenerate":
+        ax = int(rng.integers(2))
+        hi[0, ax] = lo[0, ax]
+    elif kind == "repeated":
+        lo[-1], hi[-1] = lo[0], hi[0]
+    elif kind == "overlapping":
+        lo = np.vstack([lo, lo[:1] + 0.5 * (hi[:1] - lo[:1])])
+        hi = np.vstack([hi, hi[:1] + 0.2 * scale])
+    elif kind == "balls":
+        return BallUnion(lo, 0.2 * scale, lp_space(2, [1, 2, "inf"][nb % 3]))
+    return BoxUnion(lo, hi, open_=kind == "open")
+
+
+def _assert_sweeps_equal(dp):
+    best, parent, in_len = _masked_sweep(dp)
+    assert np.array_equal(dp.best, best)
+    assert np.array_equal(dp.parent, parent)
+    assert np.array_equal(dp.in_len, in_len)
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_sweep_matches_the_masked_sweep(p):
+    space = lp_space(2, p)
+    rng = np.random.default_rng({1: 31, 2: 32, "inf": 33}[p])
+    kinds = ("open", "closed", "degenerate", "repeated", "overlapping", "balls")
+    for trial in range(24):
+        G = _seeded_region(rng, kinds[trial % 6])
+        c = rng.normal(size=2)
+        P = Functional(c / np.linalg.norm(c), space)
+        h = (0.05, 0.1, 1.0 / 7.0, 0.125)[trial % 4]
+        cs = CurveSpec(P, float(rng.uniform(0.1, 0.5)), h, k=1 + trial % 3)
+        bbox = None
+        if trial % 5 == 0:
+            # a lattice reaching well past G
+            lo, hi = G.bounds("G")
+            bbox = (lo - 0.3, hi + 0.2)
+        dp = LatticeDP(G, cs, bbox=bbox, pad=trial % 3)
+        _assert_sweeps_equal(dp)
+
+
+def test_sweep_matches_the_masked_sweep_past_the_lattice(l2_2):
+    # steps of up to 9 cells on lattices of 2 to 5 nodes a side: most
+    # sources lie off the lattice, many steps past its whole width
+    rng = np.random.default_rng(41)
+    kinds = ("open", "closed", "repeated", "balls")
+    for trial in range(24):
+        h = 0.1
+        G = _seeded_region(rng, kinds[trial % 4], scale=0.3)
+        c = rng.normal(size=2)
+        P = Functional(c / np.linalg.norm(c), l2_2)
+        cs = CurveSpec(P, float(rng.uniform(0.1, 0.5)), h, k=4 + trial % 6)
+        dp = LatticeDP(G, cs, pad=0)
+        reach = np.abs(np.array(cs.step_set)).max()
+        assert max(dp.shape) <= 5 and reach >= min(dp.shape)
+        _assert_sweeps_equal(dp)
+
+
+def _sweep_peak(G, cs, bbox=None):
+    """(traced peak bytes of the DP sweep on a built lattice, bytes of its
+    edge table)."""
+    dp = LatticeDP(G, cs, bbox=bbox, pad=1)
+    tracemalloc.start()
+    try:
+        dp._run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(cs.step_set) * dp.n * 8
+
+
+def test_dp_memory_stays_near_its_edge_table(l2_2):
+    # the pu map's last DP: the level-3 four-corner cover at grid 1/128,
+    # a 279 x 140 lattice with 21 steps
+    lo, side = four_corner_squares(3)
+    G = BoxUnion(lo - side / 4.0, lo + side + side / 4.0, open_=True)
+    cs = CurveSpec(Functional([0.5, 0.0], l2_2), 0.0119, 1.0 / 128.0)
+    bbox = (np.array([-0.03515625, -0.03515625]), np.array([2.12109375, 1.03515625]))
+    peak, table = _sweep_peak(G, cs, bbox)
+    assert len(cs.step_set) == 21
+    assert peak <= 1.4 * table, peak / table
+    # a 28 x 28 lattice on the unit box with steps of up to 12 cells
+    cs = CurveSpec(Functional([1.0, 0.0], l2_2), 0.3, 1.0 / 25.0, k=12)
+    peak, table = _sweep_peak(box_region([0.0, 0.0], [1.0, 1.0]), cs)
+    assert peak <= 1.4 * table, peak / table
 
 
 def test_xi_strip_diagonal_sqrt2(l2_2):

@@ -215,6 +215,78 @@ def test_cyl_basis_reconstructs(rng):
     assert np.allclose(recon, T.matrix, atol=1e-9)
 
 
+def _rank_one_operators():
+    """Twelve seeded rank-one operators between l1, l2, linf, weighted and
+    hexagonal norms, ten of them 2 x 2."""
+    hexagon = [[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]
+    two = [lp_space(2, 1), lp_space(2, 2), lp_space(2, "inf"),
+           NormedSpace(2, {"kind": "weighted-lp", "p": 2, "weights": [2.0, 0.5]}),
+           NormedSpace(2, {"kind": "polyhedral", "vertices": hexagon})]
+    rng = np.random.default_rng(606)
+    ops = [LinOp.build(np.outer(rng.normal(size=2), rng.normal(size=2)),
+                       two[i % 5], two[(3 * i + 1) % 5]) for i in range(10)]
+    ops.append(LinOp.build(np.outer(rng.normal(size=3), rng.normal(size=2)),
+                           lp_space(2, 1), lp_space(3, "inf")))
+    ops.append(LinOp.build(rng.normal(size=(1, 3)), lp_space(3, 2), lp_space(1, 2)))
+    return ops
+
+
+# (value, basis, duals) of each rank-one operator, as float.hex, from the
+# full search over 1 + budget scored bases with step-halving refinement
+RANK_ONE_CYL = [
+    ('0x1.985e8b306d6edp+0',
+     ('-0x1.43e35b0dff844p-3', '-0x1.f98e80e79a6e9p-1'),
+     ('-0x1.43e35b0dff840p-3', '-0x1.f98e80e79a6e9p-1')),
+    ('0x1.18251bd58506cp+1',
+     ('-0x1.67c9a61d21f0ep-1', '-0x1.6c46972385d7bp-1'),
+     ('-0x1.67c9a61d21f0ep-1', '-0x1.6c46972385d7bp-1')),
+    ('0x1.704de4737cc68p+0',
+     ('-0x1.ac7f995cf94d0p-2', '0x1.d1047ab862670p-1'),
+     ('-0x1.ac7f995cf94d6p-2', '0x1.d1047ab862675p-1')),
+    ('0x1.8c79a814b71cdp+1',
+     ('-0x1.8f405499f9104p-1', '-0x1.4088d92f427bdp-1'),
+     ('-0x1.8f405499f9104p-1', '-0x1.4088d92f427bdp-1')),
+    ('0x1.59e82fc218d50p+0',
+     ('-0x1.74158397a319ap-1', '-0x1.5fb4ddb594192p-1'),
+     ('-0x1.74158397a319ap-1', '-0x1.5fb4ddb594192p-1')),
+    ('0x1.5052171e1da09p-1',
+     ('-0x1.db49e456dafacp-1', '0x1.7cc2c7c5d12f1p-2'),
+     ('-0x1.db49e456dafa8p-1', '0x1.7cc2c7c5d12efp-2')),
+    ('0x1.3678d48692e17p+0',
+     ('-0x1.f416b59108fd8p-3', '0x1.f0804f8b693e8p-1'),
+     ('-0x1.f416b59108fdap-3', '0x1.f0804f8b693ecp-1')),
+    ('0x1.4d398c7c57d52p-2',
+     ('-0x1.e4543f0cfb3acp-1', '-0x1.4c14901e7c2b3p-2'),
+     ('-0x1.e4543f0cfb3b0p-1', '-0x1.4c14901e7c2b6p-2')),
+    ('0x1.0fe9a28ccf940p+1',
+     ('-0x1.26904457fcce0p-2', '0x1.ea5bf02c4e4a6p-1'),
+     ('-0x1.26904457fccdfp-2', '0x1.ea5bf02c4e4a3p-1')),
+    ('0x1.4eb105dfeee09p+1',
+     ('-0x1.ea46e0fd525f4p-1', '-0x1.271c5ac6a086bp-2'),
+     ('-0x1.ea46e0fd525f0p-1', '-0x1.271c5ac6a0869p-2')),
+    ('0x1.c9f7c305df5a0p-2',
+     ('-0x1.8e78463284c94p-2', '-0x1.590eeb2f2565ap-1', '0x1.4188c0cb0c6f2p-1'),
+     ('-0x1.8e78463284c94p-2', '-0x1.590eeb2f25659p-1', '0x1.4188c0cb0c6f2p-1')),
+    ('0x1.182bca630b74dp-1',
+     ('-0x1.0000000000000p+0',),
+     ('-0x1.0000000000000p+0',)),
+]
+
+
+def test_cyl_rank_one_is_the_identity_basis():
+    for T, (value, basis, duals) in zip(_rank_one_operators(), RANK_ONE_CYL):
+        for budget in (0, 32, 64):
+            assert cyl_constant(T, budget=budget).hex() == value
+            v, ws, ds = cyl_constant(T, budget=budget, return_basis=True)
+            assert v.hex() == value
+            assert len(ws) == len(ds) == 1
+            assert tuple(float(x).hex() for x in ws[0]) == basis
+            assert tuple(float(x).hex() for x in ds[0]) == duals
+    sp = lp_space(2, 1)
+    zero = LinOp.build(np.zeros((2, 2)), sp, sp)
+    assert cyl_constant(zero, return_basis=True) == (0.0, [], [])
+
+
 def test_dense_ball_sequence_contracts_and_is_deterministic():
     sp = lp_space(2, 2)
     fam = OperatorFamily([LinOp.build(np.eye(2), sp, sp),
