@@ -161,17 +161,12 @@ class BoxUnion(Region):
         overlapping (or repeated) boxes counts once.
         """
         P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-        rows = np.repeat(np.arange(len(P0)), self.n_boxes)
-        boxes = np.tile(np.arange(self.n_boxes), len(P0))
-        return self._pairs_inside_length(P0, step, rows, boxes)
-
-    def _pairs_inside_length(self, P0, step, rows, boxes):
-        """segment_inside_length clipping only the listed (row, box) index
-        pairs; every pair left out must be one whose segment misses its box."""
         step = np.asarray(step, dtype=float)
         slen = float(np.linalg.norm(step))
         if slen == 0.0:
             return np.zeros(len(P0))
+        rows = np.repeat(np.arange(len(P0)), self.n_boxes)
+        boxes = np.tile(np.arange(self.n_boxes), len(P0))
         P = P0[rows]
         t0 = np.zeros(len(rows))
         t1 = np.ones(len(rows))
@@ -189,24 +184,30 @@ class BoxUnion(Region):
                 ok = (P[:, ax] >= self.lo[boxes, ax]) & (P[:, ax] <= self.hi[boxes, ax])
                 t1 = np.where(ok, t1, -1.0)
         hit = t1 > t0
-        frac = _union_length(rows[hit], t0[hit], t1[hit], len(P0))
+        at, lengths = _union_length(rows[hit], t0[hit], t1[hit])
+        frac = np.zeros(len(P0))
+        frac[at] = lengths
         return np.minimum(frac, 1.0) * slen
 
 
-def _union_length(rows, t0, t1, n):
-    """Length of the union of the intervals [t0, t1] (0 <= t0 < t1) that
-    share a row, for each row in range(n)."""
+def _union_length(rows, t0, t1):
+    """(rows, lengths): each row that has intervals [t0, t1] (0 <= t0 < t1),
+    in increasing order, and the length of the union of its intervals."""
     order = np.lexsort((t0, rows))
     rows, t0, t1 = rows[order], t0[order], t1[order]
+    del order
     # running max of t1 within each row: complex maxima compare (row, t1)
-    # lexicographically, and rows are sorted, so the max restarts per row
-    reach = np.maximum.accumulate(rows + 1j * t1).imag
-    covered = np.zeros(len(rows))
-    same = rows[1:] == rows[:-1]
-    covered[1:][same] = reach[:-1][same]
+    # lexicographically, and rows are sorted, so the max restarts per row;
+    # built and scanned in place, as it is the largest array here
+    reach = 1j * t1
+    reach += rows
+    reach = np.maximum.accumulate(reach, out=reach).imag
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = rows[1:] != rows[:-1]
+    covered = np.where(new, 0.0, np.roll(reach, 1))
     # each interval adds what lies beyond the ones sorted before it
     added = np.maximum(t1 - np.maximum(t0, covered), 0.0)
-    return np.bincount(rows, weights=added, minlength=n)
+    return rows[new], np.bincount(np.cumsum(new) - 1, weights=added)
 
 
 class BallUnion(Region):
@@ -386,16 +387,58 @@ class CurveSpec:
             raise InputError("lattice curve estimator supports d = 2")
         k = int(self.k)
         check_size((2 * k + 1) ** 2, "%d x %d candidate steps" % (2 * k + 1, 2 * k + 1))
-        dirs = []
-        pn = self.P.dual_norm
-        for i in range(-k, k + 1):
-            for j in range(-k, k + 1):
-                if i == 0 and j == 0:
-                    continue
-                u = np.array([float(i), float(j)])
-                if self.P(u) >= self.alpha * float(self.P.space.norm(u)) * pn and self.P(u) > 0:
-                    dirs.append((i, j))
-        return dirs
+        r = np.arange(-k, k + 1)
+        ij = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+        ij = np.delete(ij, len(ij) // 2, axis=0)  # (0, 0)
+        u = ij.astype(float)
+        # one (1, 2) @ (2,) product per row: each value has the bits of P(u)
+        # on a single step, which a matrix-vector product need not have
+        pv = self.P(u[:, None, :])[:, 0]
+        keep = (pv >= self.alpha * self.P.space.norm(u) * self.P.dual_norm) & (pv > 0)
+        return [(int(i), int(j)) for i, j in ij[keep]]
+
+
+RUN_PADDING = 2
+
+
+def _box_runs(size):
+    """(start, stop) of runs of consecutive boxes, given each box's window
+    size (nx, ny): a run grows while padding all its windows to their
+    largest shape keeps it within RUN_PADDING times their own areas."""
+    runs, start, wx, wy, area = [], 0, 0, 0, 0
+    for b, (x, y) in enumerate(size.tolist()):
+        mx, my = max(wx, x), max(wy, y)
+        if b > start and (b + 1 - start) * mx * my > RUN_PADDING * (area + x * y):
+            runs.append((start, b))
+            start, mx, my, area = b, x, y, 0
+        wx, wy, area = mx, my, area + x * y
+    return runs + [(start, len(size))] if len(size) else runs
+
+
+def _axis_clips(coord, lo, hi, s):
+    """(a, b), each (components, boxes, window): on one axis, the segment
+    from coord with step component s lies within [lo, hi] for parameters in
+    [a, b], with the bits of segment_inside_length's bounds; when s = 0,
+    a = -inf and b is inf if coord lies in [lo, hi], else -1."""
+    lo, hi = lo - coord, hi - coord
+    flat = s == 0
+    s = np.where(flat, 1.0, s)[:, None, None]
+    a = np.where(s > 0, lo, hi)
+    b = np.where(s > 0, hi, lo)
+    a /= s
+    b /= s
+    a[flat] = -np.inf
+    b[flat] = np.where((lo <= 0) & (hi >= 0), np.inf, -1.0)
+    return a, b
+
+
+def _run_hits(x0, x1, y0, y1, nodes):
+    """(nodes, t0, t1) of the (node, box) pairs of a run whose edge meets
+    the box, from the run's axis bounds for one step."""
+    t0 = np.maximum(x0, y0).ravel()
+    t1 = np.minimum(x1, y1).ravel()
+    hit = np.flatnonzero(t1 > t0)
+    return nodes[hit], t0[hit], t1[hit]
 
 
 class LatticeDP:
@@ -422,39 +465,70 @@ class LatticeDP:
         count = float(n[0]) * float(n[1])
         check_size(count, "a lattice of %.3g nodes (raise the grid step)" % count)
         self.shape = (int(n[0]), int(n[1]))
-        ii, jj = np.meshgrid(np.arange(self.shape[0]), np.arange(self.shape[1]), indexing="ij")
-        self.nodes = self.lo[None, :] + np.stack([ii.ravel(), jj.ravel()], axis=1) * h
+        # node (i, j) at lo + (i, j) h, i major; no index grid outlives this
+        nodes = np.empty(self.shape + (2,))
+        nodes[..., 0] = (self.lo[0] + np.arange(self.shape[0]) * h)[:, None]
+        nodes[..., 1] = self.lo[1] + np.arange(self.shape[1]) * h
+        self.nodes = nodes.reshape(-1, 2)
         self.n = len(self.nodes)
         self._run()
 
-    def _edge_lengths(self, step_ij):
-        step = np.array(step_ij, dtype=float) * self.h
-        if isinstance(self.G, BoxUnion):
-            return self.G._pairs_inside_length(self.nodes, step,
-                                               *self._box_pairs(step))
-        return self.G.segment_inside_length(self.nodes, step)
+    def _edge_table(self):
+        """(steps, n + 1) inside lengths of the edges [p, p + step] from each
+        node p; column n is 0 (the sweep's sentinel). Regions other than a
+        BoxUnion take one segment_inside_length call per step.
 
-    def _box_pairs(self, step):
-        """(node, box) index pairs whose edge [p, p + step] can meet the box.
-
-        Along each axis the edge from p meets box b only if p lies in
-        [lo_b - max(step, 0), hi_b - min(step, 0)]; that window of node
-        indices, widened by one cell against rounding, is all a box reaches.
+        For a BoxUnion, with the bits of segment_inside_length: node (i, j)
+        sits at lo + (i, j) h, so box b clips its edge to [max(0, a_x, a_y),
+        min(1, b_x, b_y)], a_x and b_x depending only on the step's first
+        component, b and i (a_y, b_y on the second, b and j). They are taken
+        once per component over b's window on each axis: the nodes within
+        [lo_b - r+, hi_b + r-], r+ and r- the steps' largest reach either
+        way, and a cell more each way against rounding; an edge from a node
+        outside misses b.
+        Runs of consecutive boxes (_box_runs) share their largest window, so
+        the clip's temporaries grow with the sum of the windows. A step
+        hands its hits to _union_length in run, box, node order, as
+        segment_inside_length lists them: equal t0 of a node merge in box
+        order, on which the sums depend.
         """
+        n, ns = self.n, len(self.spec.step_set)
+        steps = np.array(self.spec.step_set, dtype=float) * self.h
+        table = np.zeros((ns, n + 1))
         G = self.G
-        n = np.array(self.shape)
-        first = np.floor((G.lo - np.maximum(step, 0.0) - self.lo) / self.h) - 1
-        last = np.ceil((G.hi - np.minimum(step, 0.0) - self.lo) / self.h) + 1
-        first = np.clip(first, 0, n).astype(np.int64)
-        last = np.clip(last, -1, n - 1).astype(np.int64)
-        size = np.maximum(last - first + 1, 0)
-        count = size[:, 0] * size[:, 1]
-        boxes = np.repeat(np.arange(G.n_boxes), count)
-        k = np.arange(len(boxes)) - np.repeat(np.cumsum(count) - count, count)
-        cols = size[boxes, 1]
-        ii = first[boxes, 0] + k // cols
-        jj = first[boxes, 1] + k % cols
-        return ii * self.shape[1] + jj, boxes
+        if not isinstance(G, BoxUnion):
+            for sidx, step in enumerate(steps):
+                table[sidx, :n] = G.segment_inside_length(self.nodes, step)
+            return table
+        shape = np.array(self.shape)
+        first = np.floor((G.lo - np.maximum(steps.max(axis=0), 0.0) - self.lo) / self.h) - 1
+        last = np.ceil((G.hi - np.minimum(steps.min(axis=0), 0.0) - self.lo) / self.h) + 1
+        first = np.clip(first, 0, shape).astype(np.int64)
+        size = np.maximum(np.clip(last, -1, shape - 1).astype(np.int64) - first + 1, 0)
+        coords = (self.nodes[::self.shape[1], 0], self.nodes[:self.shape[1], 1])
+        # an axis's bounds depend on a step only through its component there
+        comp, which = zip(*(np.unique(steps[:, ax], return_inverse=True) for ax in (0, 1)))
+        runs = []
+        for a, b in _box_runs(size):
+            w = size[a:b].max(axis=0)
+            idx = np.minimum(first[a:b], shape - w)[:, :, None] + np.arange(w.max())
+            (x0, x1), (y0, y1) = (
+                _axis_clips(coords[ax][idx[:, ax, :w[ax]]], G.lo[a:b, ax, None],
+                            G.hi[a:b, ax, None], comp[ax]) for ax in (0, 1))
+            nodes = idx[:, 0, :w[0], None] * self.shape[1] + idx[:, 1, None, :w[1]]
+            runs.append((np.maximum(0.0, x0, out=x0)[..., None],
+                         np.minimum(1.0, x1, out=x1)[..., None],
+                         y0[:, :, None], y1[:, :, None], nodes.ravel()))
+        if not runs:
+            return table
+        for sidx, (i, j) in enumerate(zip(*which)):
+            hits = [_run_hits(x0[i], x1[i], y0[j], y1[j], nodes)
+                    for x0, x1, y0, y1, nodes in runs]
+            rows, t0, t1 = map(np.concatenate, zip(*hits))
+            del hits  # the merge is the step's memory peak
+            at, frac = _union_length(rows, t0, t1)
+            table[sidx, at] = np.minimum(frac, 1.0) * float(np.linalg.norm(steps[sidx]))
+        return table
 
     def _run(self):
         """Sweep the bins in order, all steps of a bin at once.
@@ -485,10 +559,7 @@ class LatticeDP:
         pos = (order // ny + rx) * wy + order % ny + ry
         del order
         offs = np.clip(steps[:, :1], -rx, rx) * wy + np.clip(steps[:, 1:], -ry, ry)
-        elens = np.zeros((ns, n + 1))
-        for sidx, s in enumerate(spec.step_set):
-            elens[sidx, :n] = self._edge_lengths(s)
-        elens = elens.ravel()
+        elens = self._edge_table().ravel()
         rows = np.arange(ns)[:, None] * (n + 1)
         best = np.append(np.zeros(n), -np.inf)
         parent = np.full(n, -1, dtype=np.int64)

@@ -16,9 +16,15 @@ a constant, not a keyword; the bound falls as such keywords go.
 A construction returns plain nodes: the only attributes the library stores
 on an object other than self or cls are the pu map's diagnostics, listed
 in PATCHED_ATTRIBUTES.
+
+The benchmark's traced run counts work in library functions it finds by
+qualified name (the keys of HOOKS in bench/tracing.py); each must name a
+function or method under lipforge, so a rename fails here rather than
+leaving a traced count silently at zero.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -166,3 +172,24 @@ def test_cli_import_leaves_scipy_optimize_and_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_bench_trace_hooks_resolve():
+    # the tracer wraps a module's own functions and a class's own methods,
+    # so each name must resolve through vars(), not through inheritance
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    hooks = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "HOOKS" for t in node.targets)]
+    assert len(hooks) == 1
+    names = [ast.literal_eval(key) for key in hooks[0].keys]
+    assert names
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module("lipforge." + module)
+        for attr in attrs:
+            assert attr in vars(obj), name
+            obj = vars(obj)[attr]
+        assert obj.__module__ == "lipforge." + module and callable(obj), name

@@ -91,9 +91,10 @@ def test_edge_lengths_match_interval_merge_oracle(l2_2):
              rng.normal(size=2)][trial % 3]
         cs = CurveSpec(Functional(c / np.linalg.norm(c), l2_2), 0.2, h, k=2)
         dp = LatticeDP(G, cs, pad=2)
-        for st in cs.step_set:
+        table = dp._edge_table()
+        for sidx, st in enumerate(cs.step_set):
             step = np.array(st, dtype=float) * h
-            got = dp._edge_lengths(st)
+            got = table[sidx, :dp.n]
             want = _merged_lengths(G, dp.nodes, step)
             assert np.max(np.abs(got - want)) <= 1e-12, (trial, st)
 
@@ -242,6 +243,45 @@ def test_curve_spec_cone_filter(l2_2):
         CurveSpec(P, 1.5, 0.1)
 
 
+def _cone_steps(P, alphas, k):
+    """Per alpha, the admissible steps by one P and norm call per candidate."""
+    out = [[] for _ in alphas]
+    for i in range(-k, k + 1):
+        for j in range(-k, k + 1):
+            if i == 0 and j == 0:
+                continue
+            u = np.array([float(i), float(j)])
+            for steps, alpha in zip(out, alphas):
+                if P(u) >= alpha * float(P.space.norm(u)) * P.dual_norm and P(u) > 0:
+                    steps.append((i, j))
+    return out
+
+
+def test_admissible_steps_match_the_candidate_loop():
+    hexagon = [[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3]
+    spaces = [lp_space(2, p) for p in (1, 1.5, 2, 3, "inf")] + [
+        NormedSpace(2, {"kind": "weighted-lp", "p": p, "weights": [2.0, 0.5]})
+        for p in (1, 2, "inf")] + [NormedSpace(2, {"kind": "polyhedral", "vertices": hexagon})]
+    rng = np.random.default_rng(70)
+    for space in spaces:
+        for c in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], rng.normal(size=2)):
+            P = Functional(c, space)
+            # alphas on the cone boundary of the axis and diagonal steps
+            alphas = [float(rng.uniform(0.05, 0.95))]
+            for u in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]):
+                u = np.array(u)
+                a = float(P(u) / (float(space.norm(u)) * P.dual_norm))
+                if 0.0 < a < 1.0:
+                    alphas.append(a)
+            for k in range(1, 13):
+                for alpha, want in zip(alphas, _cone_steps(P, alphas, k)):
+                    if not want:
+                        with pytest.raises(InputError, match="no admissible"):
+                            CurveSpec(P, alpha, 0.1, k=k)
+                        continue
+                    assert CurveSpec(P, alpha, 0.1, k=k).step_set == want, (c, alpha, k)
+
+
 def test_lattice_dp_single_box_value(l2_2):
     # one unit box, P = e1, near-degenerate cone: best path crosses the box
     P = Functional([1.0, 0.0], l2_2)
@@ -266,9 +306,7 @@ def _masked_sweep(dp):
     order = np.argsort(bins, kind="stable")
     starts = np.flatnonzero(np.diff(bins[order], prepend=-1))
     ends = np.append(starts[1:], dp.n)
-    elens = np.empty((len(steps), dp.n))
-    for sidx, s in enumerate(spec.step_set):
-        elens[sidx] = dp._edge_lengths(s)
+    elens = dp._edge_table()[:, :dp.n]
     best = np.zeros(dp.n)
     parent = np.full(dp.n, -1, dtype=np.int64)
     in_len = np.zeros(dp.n)
@@ -381,6 +419,113 @@ def test_dp_memory_stays_near_its_edge_table(l2_2):
     cs = CurveSpec(Functional([1.0, 0.0], l2_2), 0.3, 1.0 / 25.0, k=12)
     peak, table = _sweep_peak(box_region([0.0, 0.0], [1.0, 1.0]), cs)
     assert peak <= 1.4 * table, peak / table
+
+
+def _merged_rows(rows, t0, t1, n):
+    """Length of the union of the intervals [t0, t1] (0 <= t0 < t1) that
+    share a row, for each row in range(n)."""
+    order = np.lexsort((t0, rows))
+    rows, t0, t1 = rows[order], t0[order], t1[order]
+    reach = np.maximum.accumulate(rows + 1j * t1).imag
+    covered = np.zeros(len(rows))
+    same = rows[1:] == rows[:-1]
+    covered[1:][same] = reach[:-1][same]
+    added = np.maximum(t1 - np.maximum(t0, covered), 0.0)
+    return np.bincount(rows, weights=added, minlength=n)
+
+
+def _clipped_table(dp):
+    """dp's edge table built one step at a time: each box is clipped against
+    the nodes of its own window for that step, and the (node, box) pairs
+    are merged in box order per node."""
+    G, n = dp.G, dp.n
+    shape = np.array(dp.shape)
+    table = np.zeros((len(dp.spec.step_set), n + 1))
+    for sidx, st in enumerate(dp.spec.step_set):
+        step = np.array(st, dtype=float) * dp.h
+        first = np.floor((G.lo - np.maximum(step, 0.0) - dp.lo) / dp.h) - 1
+        last = np.ceil((G.hi - np.minimum(step, 0.0) - dp.lo) / dp.h) + 1
+        first = np.clip(first, 0, shape).astype(np.int64)
+        last = np.clip(last, -1, shape - 1).astype(np.int64)
+        size = np.maximum(last - first + 1, 0)
+        count = size[:, 0] * size[:, 1]
+        boxes = np.repeat(np.arange(G.n_boxes), count)
+        k = np.arange(len(boxes)) - np.repeat(np.cumsum(count) - count, count)
+        cols = size[boxes, 1]
+        rows = (first[boxes, 0] + k // cols) * dp.shape[1] + first[boxes, 1] + k % cols
+        P = dp.nodes[rows]
+        t0 = np.zeros(len(rows))
+        t1 = np.ones(len(rows))
+        for ax in range(2):
+            s = step[ax]
+            lo = G.lo[boxes, ax] - P[:, ax]
+            hi = G.hi[boxes, ax] - P[:, ax]
+            if s > 0:
+                t0 = np.maximum(t0, lo / s)
+                t1 = np.minimum(t1, hi / s)
+            elif s < 0:
+                t0 = np.maximum(t0, hi / s)
+                t1 = np.minimum(t1, lo / s)
+            else:
+                ok = (P[:, ax] >= G.lo[boxes, ax]) & (P[:, ax] <= G.hi[boxes, ax])
+                t1 = np.where(ok, t1, -1.0)
+        hit = t1 > t0
+        frac = _merged_rows(rows[hit], t0[hit], t1[hit], n)
+        table[sidx, :n] = np.minimum(frac, 1.0) * float(np.linalg.norm(step))
+    return table
+
+
+def _assert_tables_equal(dp):
+    got, want = dp._edge_table(), _clipped_table(dp)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_edge_table_matches_the_per_step_clip(pad):
+    rng = np.random.default_rng(50 + pad)
+    kinds = ("open", "closed", "degenerate", "repeated", "overlapping", "lattice")
+    for trial in range(60):
+        kind = kinds[trial % 6]
+        h = (0.05, 0.1, 1.0 / 7.0, 0.125, 1.0 / 128.0)[trial % 5]
+        G = _seeded_region(rng, "open" if kind == "lattice" else kind,
+                           scale=(1.0, 0.3)[trial % 2])
+        if kind == "lattice":
+            # box faces on lattice lines, so edges run along them
+            G = BoxUnion(np.round(G.lo / h) * h, np.round(G.hi / h) * h + h,
+                         open_=bool(trial % 4 < 2))
+        # P = e1 and P = e2 admit the axis steps
+        c = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), rng.normal(size=2)][trial % 3]
+        P = Functional(c / np.linalg.norm(c), lp_space(2, [1, 2, "inf"][trial % 3]))
+        cs = CurveSpec(P, float(rng.uniform(0.05, 0.5)), h, k=1 + trial % 9)
+        lo, hi = G.bounds("G")
+        # lattices past G, and lattices that G reaches past
+        bbox = [None, (lo - 0.3, hi + 0.2), (lo + 0.3 * (hi - lo), hi - 0.2 * (hi - lo))][trial % 3]
+        _assert_tables_equal(LatticeDP(G, cs, bbox=bbox, pad=pad))
+    # no boxes, and boxes wholly off the lattice
+    for lo, hi in ((np.zeros((0, 2)), np.zeros((0, 2))),
+                   ([[5.0, 5.0], [-3.0, 0.5]], [[6.0, 6.0], [-2.0, 0.6]])):
+        dp = LatticeDP(BoxUnion(lo, hi), cs, bbox=(np.zeros(2), np.ones(2)), pad=pad)
+        _assert_tables_equal(dp)
+        assert not dp._edge_table().any()
+
+
+def _mixed_union(rng):
+    """A box covering the unit square amid 400 boxes 0.002 wide."""
+    lo = rng.uniform(0.0, 1.0, (401, 2))
+    hi = lo + 0.002
+    lo[200], hi[200] = (-0.01, -0.01), (1.01, 1.01)
+    return BoxUnion(lo, hi, open_=True)
+
+
+def test_edge_table_of_mixed_box_sizes(l2_2):
+    # windows of about 200 x 200 nodes and of about 8 x 8: padding every
+    # window to the largest would clip 401 x 41,000 pairs per step
+    G = _mixed_union(np.random.default_rng(60))
+    cs = CurveSpec(Functional([0.6, 0.8], l2_2), 0.3, 1.0 / 200.0, k=3)
+    _assert_tables_equal(LatticeDP(G, cs, pad=1))
+    peak, table = _sweep_peak(G, cs)
+    assert peak <= 2.3 * table, peak / table
 
 
 def test_xi_strip_diagonal_sqrt2(l2_2):
