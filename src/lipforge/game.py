@@ -219,12 +219,10 @@ def certify_transcript(t: GameTranscript, dirs=8, seed=0):
     U = _exact_unit_dirs(t.T.dom, t.T.dom.dim, dirs, seed)
     out = []
     for rd in t.rounds:
-        worst = Fraction(0)
         xfs = [[as_fraction(float(v)) for v in x] for x in rd.gamma]
-        for xf, gx in zip(xfs, g.eval_exact_rows(xfs)):
-            rhos, divisors = (rd.alpha, rd.alpha / 2), (rd.alpha, rd.alpha)
-            for per_op in exact_increment_residuals(g, xf, gx, [t.T], U, rhos, divisors):
-                worst = max([worst] + per_op)
+        rhos, divisors = (rd.alpha, rd.alpha / 2), (rd.alpha, rd.alpha)
+        worst = max(max(per_op) for per_op in exact_increment_residuals(
+            g, xfs, [t.T], U, rhos, divisors))
         out.append({"level": rd.k, "error": float(worst), "bound": 1.0 / rd.k,
                     "points": len(rd.gamma)})
     return out

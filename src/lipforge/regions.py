@@ -167,22 +167,13 @@ class BoxUnion(Region):
             return np.zeros(len(P0))
         rows = np.repeat(np.arange(len(P0)), self.n_boxes)
         boxes = np.tile(np.arange(self.n_boxes), len(P0))
-        P = P0[rows]
         t0 = np.zeros(len(rows))
         t1 = np.ones(len(rows))
         for ax in range(self.dim):
-            s = step[ax]
-            lo = self.lo[boxes, ax] - P[:, ax]
-            hi = self.hi[boxes, ax] - P[:, ax]
-            if s > 0:
-                t0 = np.maximum(t0, lo / s)
-                t1 = np.minimum(t1, hi / s)
-            elif s < 0:
-                t0 = np.maximum(t0, hi / s)
-                t1 = np.minimum(t1, lo / s)
-            else:
-                ok = (P[:, ax] >= self.lo[boxes, ax]) & (P[:, ax] <= self.hi[boxes, ax])
-                t1 = np.where(ok, t1, -1.0)
+            (a,), (b,) = _axis_clips(P0[rows, ax], self.lo[boxes, ax],
+                                     self.hi[boxes, ax], step[ax, None])
+            t0 = np.maximum(t0, a)
+            t1 = np.minimum(t1, b)
         hit = t1 > t0
         at, lengths = _union_length(rows[hit], t0[hit], t1[hit])
         frac = np.zeros(len(P0))
@@ -398,31 +389,14 @@ class CurveSpec:
         return [(int(i), int(j)) for i, j in ij[keep]]
 
 
-RUN_PADDING = 2
-
-
-def _box_runs(size):
-    """(start, stop) of runs of consecutive boxes, given each box's window
-    size (nx, ny): a run grows while padding all its windows to their
-    largest shape keeps it within RUN_PADDING times their own areas."""
-    runs, start, wx, wy, area = [], 0, 0, 0, 0
-    for b, (x, y) in enumerate(size.tolist()):
-        mx, my = max(wx, x), max(wy, y)
-        if b > start and (b + 1 - start) * mx * my > RUN_PADDING * (area + x * y):
-            runs.append((start, b))
-            start, mx, my, area = b, x, y, 0
-        wx, wy, area = mx, my, area + x * y
-    return runs + [(start, len(size))] if len(size) else runs
-
-
 def _axis_clips(coord, lo, hi, s):
-    """(a, b), each (components, boxes, window): on one axis, the segment
-    from coord with step component s lies within [lo, hi] for parameters in
-    [a, b], with the bits of segment_inside_length's bounds; when s = 0,
-    a = -inf and b is inf if coord lies in [lo, hi], else -1."""
+    """(a, b), each (components, pairs): on one axis, the segment from coord
+    with step component s lies within [lo, hi] for parameters in [a, b];
+    when s = 0, a = -inf and b is inf if coord lies in [lo, hi], else -1.
+    coord, lo and hi are per (box, point) pair, s per component."""
     lo, hi = lo - coord, hi - coord
     flat = s == 0
-    s = np.where(flat, 1.0, s)[:, None, None]
+    s = np.where(flat, 1.0, s)[:, None]
     a = np.where(s > 0, lo, hi)
     b = np.where(s > 0, hi, lo)
     a /= s
@@ -432,13 +406,11 @@ def _axis_clips(coord, lo, hi, s):
     return a, b
 
 
-def _run_hits(x0, x1, y0, y1, nodes):
-    """(nodes, t0, t1) of the (node, box) pairs of a run whose edge meets
-    the box, from the run's axis bounds for one step."""
-    t0 = np.maximum(x0, y0).ravel()
-    t1 = np.minimum(x1, y1).ravel()
-    hit = np.flatnonzero(t1 > t0)
-    return nodes[hit], t0[hit], t1[hit]
+def _windows(first, size):
+    """(box, index) of each entry of the boxes' windows on one axis, box by
+    box: box b's entries are the indices first[b], ..., first[b] + size[b] - 1."""
+    box = np.repeat(np.arange(len(size)), size)
+    return box, first[box] + np.arange(len(box)) - np.repeat(np.cumsum(size) - size, size)
 
 
 class LatticeDP:
@@ -486,11 +458,12 @@ class LatticeDP:
         [lo_b - r+, hi_b + r-], r+ and r- the steps' largest reach either
         way, and a cell more each way against rounding; an edge from a node
         outside misses b.
-        Runs of consecutive boxes (_box_runs) share their largest window, so
-        the clip's temporaries grow with the sum of the windows. A step
-        hands its hits to _union_length in run, box, node order, as
-        segment_inside_length lists them: equal t0 of a node merge in box
-        order, on which the sums depend.
+        The (box, node) pairs are listed box by box, each box over its own
+        window, node order within it, as segment_inside_length lists them
+        per node: equal t0 of a node merge in box order, on which the sums
+        depend. A pair's x bound is its box's x-window entry, repeated over
+        the box's y window; its y bound is gathered from the y windows. A
+        step's arrays hold one entry per pair: the sum of the window areas.
         """
         n, ns = self.n, len(self.spec.step_set)
         steps = np.array(self.spec.step_set, dtype=float) * self.h
@@ -508,24 +481,25 @@ class LatticeDP:
         coords = (self.nodes[::self.shape[1], 0], self.nodes[:self.shape[1], 1])
         # an axis's bounds depend on a step only through its component there
         comp, which = zip(*(np.unique(steps[:, ax], return_inverse=True) for ax in (0, 1)))
-        runs = []
-        for a, b in _box_runs(size):
-            w = size[a:b].max(axis=0)
-            idx = np.minimum(first[a:b], shape - w)[:, :, None] + np.arange(w.max())
-            (x0, x1), (y0, y1) = (
-                _axis_clips(coords[ax][idx[:, ax, :w[ax]]], G.lo[a:b, ax, None],
-                            G.hi[a:b, ax, None], comp[ax]) for ax in (0, 1))
-            nodes = idx[:, 0, :w[0], None] * self.shape[1] + idx[:, 1, None, :w[1]]
-            runs.append((np.maximum(0.0, x0, out=x0)[..., None],
-                         np.minimum(1.0, x1, out=x1)[..., None],
-                         y0[:, :, None], y1[:, :, None], nodes.ravel()))
-        if not runs:
-            return table
+        (xbox, xs), (ybox, ys) = (_windows(first[:, ax], size[:, ax]) for ax in (0, 1))
+        (x0, x1), (y0, y1) = (_axis_clips(coords[ax][idx], G.lo[box, ax], G.hi[box, ax], comp[ax])
+                              for ax, box, idx in ((0, xbox, xs), (1, ybox, ys)))
+        np.maximum(0.0, x0, out=x0)
+        np.minimum(1.0, x1, out=x1)
+        # x entry e of box b pairs with each entry of b's y window; node ids
+        # fit int32, as check_size caps the lattice
+        reps = size[xbox, 1]
+        _, yat = _windows((np.cumsum(size[:, 1]) - size[:, 1])[xbox], reps)
+        nodes = np.repeat((xs * self.shape[1]).astype(np.int32), reps)
+        nodes += ys[yat]
         for sidx, (i, j) in enumerate(zip(*which)):
-            hits = [_run_hits(x0[i], x1[i], y0[j], y1[j], nodes)
-                    for x0, x1, y0, y1, nodes in runs]
-            rows, t0, t1 = map(np.concatenate, zip(*hits))
-            del hits  # the merge is the step's memory peak
+            t0 = np.repeat(x0[i], reps)
+            np.maximum(t0, np.take(y0[j], yat), out=t0)
+            t1 = np.repeat(x1[i], reps)
+            np.minimum(t1, np.take(y1[j], yat), out=t1)
+            hit = np.flatnonzero(t1 > t0)
+            rows, t0, t1 = nodes[hit], t0[hit], t1[hit]
+            del hit  # the merge is the step's memory peak
             at, frac = _union_length(rows, t0, t1)
             table[sidx, at] = np.minimum(frac, 1.0) * float(np.linalg.norm(steps[sidx]))
         return table

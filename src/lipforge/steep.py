@@ -428,9 +428,9 @@ def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,
     if not isinstance(H, EmptyRegion):
         # when H is (an intersection of) box unions, draw the same number of
         # points in each box, in one call: the rows run box by box. The first
-        # n_points interior rows are kept, so when few rows pass only the
-        # leading boxes get a test point (the first 20 or 21 of 64 on the
-        # pumap bench inputs), and the later, tiny deep-cover boxes get none.
+        # n_points interior rows are kept, so they reach only the leading
+        # boxes (the first 20 or 21 of 64 on the pumap bench inputs), and the
+        # later boxes get no test point.
         boxes = H
         while isinstance(boxes, Intersection):
             boxes = boxes.children[0]

@@ -97,7 +97,7 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     if exact:
         xf = [as_fraction(v) for v in x]
         rf = [as_fraction(r) for r in scales]
-        worst = exact_increment_residuals(f, xf, f.eval_exact(xf), ops, U, rf, rf)
+        worst = exact_increment_residuals(f, [xf], ops, U, rf, rf)
         for j, per_op in enumerate(worst):
             errors[:, j] = [float(e) for e in per_op]
     else:
@@ -112,36 +112,40 @@ def scan_derivative_set(f: LipFn, x, ops, scales, dirs=200, tol=0.1, Q=None,
     return DerivScanReport(x, [float(s) for s in scales], ops, errors, tol)
 
 
-def exact_increment_residuals(f: LipFn, x, fx, ops, dirs, rhos, divisors):
+def exact_increment_residuals(f: LipFn, X, ops, dirs, rhos, divisors):
     """For each radius rho of rhos, with its divisor, the list over the
-    operators T of ops of max over u in dirs of
+    operators T of ops of max over x in X and u in dirs of
     ||f(x + rho u) - f(x) - rho T u|| / divisor, in rationals.
 
-    x and fx = f(x) are lists of Fractions, the rows of dirs sequences of
+    The rows of X are lists of Fractions, the rows of dirs sequences of
     floats or Fractions (taken exactly), and rhos and divisors sequences of
-    Fractions of one length, the divisors positive.  The directions are
-    taken in blocks, so that f is evaluated in eval_exact_rows calls of at
-    most EXACT_ROWS points, once per direction and radius, and T u once per
-    direction.  No residual becomes a float before its division, as it can
-    sit far below float range at microscopic scales: an exact codomain
-    divides the largest exact norm once (every exact norm is positively
-    homogeneous), any other takes the float norm of the divided residual.
+    Fractions of one length, the divisors positive.  f(X) is evaluated in
+    one eval_exact_rows call.  The directions are taken in blocks, so that
+    f is evaluated in eval_exact_rows calls of at most EXACT_ROWS points
+    (or of one direction at every point and radius), once per point,
+    direction and radius, and T u once per direction.  No residual becomes
+    a float before its division, as it can sit far below float range at
+    microscopic scales: an exact codomain divides the largest exact norm
+    once (every exact norm is positively homogeneous), any other takes the
+    float norm of the divided residual.
     """
     mats = [[[as_fraction(v) for v in row] for row in T.matrix] for T in ops]
     worst = [[Fraction(0)] * len(ops) for _ in rhos]
-    step = max(1, EXACT_ROWS // max(1, len(rhos)))
+    fxs = f.eval_exact_rows(X)
+    step = max(1, EXACT_ROWS // max(1, len(rhos) * len(X)))
     for start in range(0, len(dirs), step):
         block = [[as_fraction(v) for v in u] for u in dirs[start:start + step]]
         fys = f.eval_exact_rows([[xi + rho * ui for xi, ui in zip(x, u)]
-                                 for rho in rhos for u in block])
+                                 for x in X for rho in rhos for u in block])
         for a, (T, Tm) in enumerate(zip(ops, mats)):
             Tus = [[sum(t * ui for t, ui in zip(row, u)) for row in Tm] for u in block]
-            for j, (rho, dv) in enumerate(zip(rhos, divisors)):
-                for fy, Tu in zip(fys[j * len(block):], Tus):
-                    rs = [fy[i] - fx[i] - rho * Tu[i] for i in range(len(Tm))]
-                    nr = (T.cod.norm_exact(rs) if T.cod.exact_capable else as_fraction(
-                        float(T.cod.norm(np.array([float(v / dv) for v in rs])))))
-                    worst[j][a] = max(worst[j][a], nr)
+            for p, fx in enumerate(fxs):
+                for j, (rho, dv) in enumerate(zip(rhos, divisors)):
+                    for fy, Tu in zip(fys[(p * len(rhos) + j) * len(block):], Tus):
+                        rs = [fy[i] - fx[i] - rho * Tu[i] for i in range(len(Tm))]
+                        nr = (T.cod.norm_exact(rs) if T.cod.exact_capable else as_fraction(
+                            float(T.cod.norm(np.array([float(v / dv) for v in rs])))))
+                        worst[j][a] = max(worst[j][a], nr)
     return [[w / dv if T.cod.exact_capable else w for w, T in zip(row, ops)]
             for row, dv in zip(worst, divisors)]
 

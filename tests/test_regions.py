@@ -45,6 +45,74 @@ def test_segment_inside_length_counts_overlaps_once():
     assert float(ln[0]) == pytest.approx(1.5, abs=1e-12)
 
 
+def _looped_inside_length(G, P0, step):
+    """BoxUnion.segment_inside_length with a clip loop of its own: one
+    branch per sign of each step component, then the merge of _merged_rows."""
+    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
+    step = np.asarray(step, dtype=float)
+    slen = float(np.linalg.norm(step))
+    if slen == 0.0:
+        return np.zeros(len(P0))
+    rows = np.repeat(np.arange(len(P0)), G.n_boxes)
+    boxes = np.tile(np.arange(G.n_boxes), len(P0))
+    P = P0[rows]
+    t0 = np.zeros(len(rows))
+    t1 = np.ones(len(rows))
+    for ax in range(G.dim):
+        s = step[ax]
+        lo = G.lo[boxes, ax] - P[:, ax]
+        hi = G.hi[boxes, ax] - P[:, ax]
+        if s > 0:
+            t0 = np.maximum(t0, lo / s)
+            t1 = np.minimum(t1, hi / s)
+        elif s < 0:
+            t0 = np.maximum(t0, hi / s)
+            t1 = np.minimum(t1, lo / s)
+        else:
+            ok = (P[:, ax] >= G.lo[boxes, ax]) & (P[:, ax] <= G.hi[boxes, ax])
+            t1 = np.where(ok, t1, -1.0)
+    hit = t1 > t0
+    frac = _merged_rows(rows[hit], t0[hit], t1[hit], len(P0))
+    return np.minimum(frac, 1.0) * slen
+
+
+def test_segment_inside_length_matches_the_looped_clip():
+    rng = np.random.default_rng(70)
+    kinds = ("open", "closed", "degenerate", "repeated", "overlapping")
+    for trial in range(90):
+        d, kind = 1 + trial % 3, kinds[trial % 5]
+        nb = int(rng.integers(1, 6))
+        lo = rng.uniform(0.0, 0.7, (nb, d))
+        hi = lo + rng.uniform(0.05, 0.5, (nb, d))
+        if kind == "degenerate":
+            ax = int(rng.integers(d))
+            hi[0, ax] = lo[0, ax]
+        elif kind == "repeated":
+            lo[-1], hi[-1] = lo[0], hi[0]
+        elif kind == "overlapping":
+            lo = np.vstack([lo, lo[:1] + 0.5 * (hi[:1] - lo[:1])])
+            hi = np.vstack([hi, hi[:1] + 0.2])
+        G = BoxUnion(lo, hi, open_=kind == "open")
+        step = rng.normal(size=d) * rng.choice([0.05, 0.3, 1.0])
+        if d > 1 and trial % 2:
+            step[rng.permutation(d)[:int(rng.integers(1, d))]] = 0.0
+        P0 = rng.uniform(-0.3, 1.3, (40, d))
+        # points on box faces, and points whose segment ends on a face
+        b = rng.integers(nb, size=40)
+        faces = np.where(rng.random((20, d)) < 0.5, lo[b[:20]], hi[b[:20]])
+        P0[:20] = np.where(rng.random((20, d)) < 0.5, faces, P0[:20])
+        P0[20:30] = lo[b[20:30]] - step
+        P0[30:] = hi[b[30:]] - step
+        got, want = G.segment_inside_length(P0, step), _looped_inside_length(G, P0, step)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for d in (1, 2, 3):
+        G = BoxUnion(np.zeros((0, d)), np.zeros((0, d)))
+        P0, step = rng.uniform(0.0, 1.0, (5, d)), np.ones(d)
+        assert np.array_equal(G.segment_inside_length(P0, step), np.zeros(5))
+        assert np.array_equal(_looped_inside_length(G, P0, step), np.zeros(5))
+
+
 def _merged_lengths(G, nodes, step):
     """Per-node union length of the segments inside G: each box's parameter
     interval, sorted and merged in plain Python."""
@@ -518,14 +586,26 @@ def _mixed_union(rng):
     return BoxUnion(lo, hi, open_=True)
 
 
+def _interleaved_union(rng):
+    """200 boxes alternating 0.3 and 0.002 wide: the wide ones tile a 3 x 3
+    square, no two overlapping, and the narrow ones lie in it at random."""
+    lo = np.empty((200, 2))
+    lo[0::2] = 0.3 * np.stack(np.meshgrid(np.arange(10), np.arange(10), indexing="ij"),
+                              axis=-1).reshape(-1, 2)
+    lo[1::2] = rng.uniform(0.0, 3.0, (100, 2))
+    return BoxUnion(lo, lo + np.where(np.arange(200) % 2, 0.002, 0.3)[:, None], open_=True)
+
+
 def test_edge_table_of_mixed_box_sizes(l2_2):
     # windows of about 200 x 200 nodes and of about 8 x 8: padding every
-    # window to the largest would clip 401 x 41,000 pairs per step
-    G = _mixed_union(np.random.default_rng(60))
+    # window to the largest would clip 401 x 41,000 pairs per step; then
+    # windows of about 68 x 68 and 8 x 8 in turn
     cs = CurveSpec(Functional([0.6, 0.8], l2_2), 0.3, 1.0 / 200.0, k=3)
-    _assert_tables_equal(LatticeDP(G, cs, pad=1))
-    peak, table = _sweep_peak(G, cs)
-    assert peak <= 2.3 * table, peak / table
+    for G in (_mixed_union(np.random.default_rng(60)),
+              _interleaved_union(np.random.default_rng(61))):
+        _assert_tables_equal(LatticeDP(G, cs, pad=1))
+        peak, table = _sweep_peak(G, cs)
+        assert peak <= 2.3 * table, peak / table
 
 
 def test_xi_strip_diagonal_sqrt2(l2_2):

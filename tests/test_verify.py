@@ -68,17 +68,18 @@ def test_lip_estimate_scaled_identity(l2_2):
 
 
 def test_exact_residuals_match_the_per_direction_formula(monkeypatch):
-    # every radius in one call, in blocks of EXACT_ROWS points: blocks of
-    # 3 and of 1024 give the residuals of one f(x + rho u) per direction,
-    # for a codomain with an exact norm and one without
+    # every point and radius in one call, in blocks of EXACT_ROWS points:
+    # blocks of 3 (one direction at every point and radius) and of 1024 give
+    # the residuals of one f(x + rho u) per point and direction, for a
+    # codomain with an exact norm and one without
     dom = lp_space(2, "inf")
     Q = box_region([-1.0, -1.0], [2.0, 2.0])
     T = LinOp.build(np.array([[0.4, 0.0], [0.0, -0.3]]), dom, dom)
     t = run_bm_game(gen_four_corner(1), Q, T, POLICIES["spoiler"](dom, dom, Q, seed=1), 2)
     g, rd = t.limit, t.rounds[0]
     ops = [T, LinOp.build(T.matrix, dom, lp_space(2, 2))]
-    x = [Fraction(float(v)) for v in rd.gamma[0]]
-    gx = g.eval_exact(x)
+    # two net points, then a point off the net with larger residuals
+    X = [[Fraction(float(v)) for v in x] for x in list(rd.gamma[:2]) + [(0.5, 0.5)]]
     U = _exact_unit_dirs(dom, 2, 9, 0)
     rhos, divisors = (rd.alpha, rd.alpha / 2, rd.alpha / 8), (rd.alpha, rd.alpha, rd.alpha / 8)
     want = []
@@ -86,19 +87,21 @@ def test_exact_residuals_match_the_per_direction_formula(monkeypatch):
         per_op = []
         for T_ in ops:
             worst = Fraction(0)
-            for u in U:
-                y = [rho * ui for ui in u]
-                gy = g.eval_exact([xi + yi for xi, yi in zip(x, y)])
-                r = [(gy[i] - gx[i] - sum(Fraction(float(m)) * yi for m, yi in zip(row, y))) / dv
-                     for i, row in enumerate(T_.matrix)]
-                worst = max(worst, T_.cod.norm_exact(r) if T_.cod.exact_capable else
-                            Fraction(float(T_.cod.norm(np.array([float(v) for v in r])))))
+            for x in X:
+                gx = g.eval_exact(x)
+                for u in U:
+                    y = [rho * ui for ui in u]
+                    gy = g.eval_exact([xi + yi for xi, yi in zip(x, y)])
+                    r = [(gy[i] - gx[i] - sum(Fraction(float(m)) * yi for m, yi in zip(row, y))) / dv
+                         for i, row in enumerate(T_.matrix)]
+                    worst = max(worst, T_.cod.norm_exact(r) if T_.cod.exact_capable else
+                                Fraction(float(T_.cod.norm(np.array([float(v) for v in r])))))
             per_op.append(worst)
         want.append(per_op)
     assert max(want[0]) > 0
-    assert exact_increment_residuals(g, x, gx, ops, U, rhos, divisors) == want
+    assert exact_increment_residuals(g, X, ops, U, rhos, divisors) == want
     monkeypatch.setattr(verify, "EXACT_ROWS", 3)
-    assert exact_increment_residuals(g, x, gx, ops, U, rhos, divisors) == want
+    assert exact_increment_residuals(g, X, ops, U, rhos, divisors) == want
 
 
 def test_dini_linear_flag_false():
