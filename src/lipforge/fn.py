@@ -2,10 +2,11 @@
 
 Every node evaluates vectorized over (N, d) float arrays.  Nodes whose
 formula is closed over rational arithmetic (linear maps, radial blends,
-local derivative surgery, l1 / linf / polyhedral norms) also support exact
-evaluation over Fractions, which is what makes the small-scale increment
-certificates immune to cancellation at microscopic radii.  A node builds its
-rationals once, at its first exact evaluation.
+local derivative surgery, l1 / linf / polyhedral norms, and VecScaleFn
+when both of its factors are) also support exact evaluation over
+Fractions, which is what makes the small-scale increment certificates
+immune to cancellation at microscopic radii.  A node builds its rationals
+once, at its first exact evaluation.
 
 Exact evaluation also has a batch form, eval_exact_rows(rows), which sums
 and surgeries pass down whole.  A surgery first rules out, in floats and in
@@ -277,51 +278,6 @@ class DistFn(LipFn):
     def eval_exact(self, x):
         w = [xi - ci for xi, ci in zip(x, self._center_q)]
         return [self.space.norm_exact(w) - as_fraction(self.offset)]
-
-
-@register
-class OuterFn(LipFn):
-    """Vector output s(x) * w from a scalar node."""
-
-    tag = "outer"
-    fields = (("scalar", "scalar", "fn"), ("w", "w", "vec"), LIP)
-
-    def __init__(self, scalar: LipFn, w, lip_bound=None):
-        w = np.asarray(w, dtype=float).ravel()
-        if scalar.l != 1:
-            raise InputError("outer needs a scalar node")
-        super().__init__(scalar.d, len(w))
-        self.scalar = scalar
-        self.w = w
-        self.lip_bound = lip_bound
-
-    @functools.cached_property
-    def _w_q(self):
-        return [as_fraction(v) for v in self.w]
-
-    def eval(self, X):
-        return self.scalar.eval(X) * self.w[None, :]
-
-    def eval_exact(self, x):
-        s = self.scalar.eval_exact(x)[0]
-        return [s * v for v in self._w_q]
-
-
-@register
-class ProductFn(LipFn):
-    """Pointwise product of two scalar nodes."""
-
-    tag = "product"
-    fields = (("f1", "f1", "fn"), ("f2", "f2", "fn"))
-
-    def __init__(self, f1: LipFn, f2: LipFn):
-        if f1.l != 1 or f2.l != 1 or f1.d != f2.d:
-            raise InputError("product needs two scalar nodes on the same domain")
-        super().__init__(f1.d, 1)
-        self.f1, self.f2 = f1, f2
-
-    def eval(self, X):
-        return self.f1.eval(X) * self.f2.eval(X)
 
 
 @register
@@ -603,9 +559,9 @@ class GridFn2D(LipFn):
     tag = "grid2d"
     # decoded by _from_doc below: "values" is written flat beside "shape"
     fields = (("lo", "lo", "vec"), ("h", "h", "float"), ("shape", "shape", "list"),
-              ("values", "values", "vec"), LIP)
+              ("values", "values", "vec"))
 
-    def __init__(self, lo, h, values, lip_bound=None):
+    def __init__(self, lo, h, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise InputError("grid values must be 2-d")
@@ -613,7 +569,6 @@ class GridFn2D(LipFn):
         self.lo = np.asarray(lo, dtype=float).ravel()
         self.h = float(h)
         self.values = values
-        self.lip_bound = lip_bound
 
     @property
     def shape(self):
@@ -622,8 +577,7 @@ class GridFn2D(LipFn):
     @classmethod
     def _from_doc(cls, doc):
         vals = dec_vec(doc["values"]).reshape(doc["shape"])
-        lip = dec_float(doc["lip"]) if "lip" in doc else None
-        return cls(dec_vec(doc["lo"]), dec_float(doc["h"]), vals, lip)
+        return cls(dec_vec(doc["lo"]), dec_float(doc["h"]), vals)
 
     def eval(self, X):
         X = np.asarray(X, dtype=float)
@@ -744,21 +698,26 @@ class PlateauFn(LipFn):
 
 @register
 class VecScaleFn(LipFn):
-    """Pointwise scalar(x) * vec(x); the glue for partition assemblies."""
+    """Pointwise scalar(x) * vec(x): the one product node, for a gated
+    scalar, a scalar times a fixed vector (vec a ConstFn) and the glue of
+    partition assemblies.  Exact when both factors are."""
 
     tag = "vecscale"
-    fields = (("scalar", "scalar", "fn"), ("vec", "vec", "fn"), LIP)
+    fields = (("scalar", "scalar", "fn"), ("vec", "vec", "fn"))
 
-    def __init__(self, scalar: LipFn, vec: LipFn, lip_bound=None):
+    def __init__(self, scalar: LipFn, vec: LipFn):
         if scalar.l != 1 or scalar.d != vec.d:
             raise InputError("vecscale needs a scalar and a vector on one domain")
         super().__init__(vec.d, vec.l)
         self.scalar = scalar
         self.vec = vec
-        self.lip_bound = lip_bound
 
     def eval(self, X):
         return self.scalar.eval(X) * self.vec.eval(X)
+
+    def eval_exact(self, x):
+        s = self.scalar.eval_exact(x)[0]
+        return [s * v for v in self.vec.eval_exact(x)]
 
 
 @register

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import (BudgetError, CoverError, InputError, PremiseError,
                      ResolutionError)
 from .fn import (BoxBumpFn, ConstFn, ConvexShiftCombFn, LipFn, NormalizedBumpFn,
-                 PlateauFn, ProductFn, RadialBumpFn, RegionSwitchFn, SumFn,
-                 VecScaleFn, bump)
+                 PlateauFn, RadialBumpFn, RegionSwitchFn, SumFn, VecScaleFn,
+                 bump)
 from .regions import BallUnion, BoxUnion, Region, box_region, room_inside
 from .verify import dyadic_radius, fd_jacobian
 
@@ -177,7 +177,7 @@ def compact_selection(cover, V: Region, E: Region):
     one_minus = SumFn([ConstFn([1.0], plateau.d), plateau], [1.0, -1.0])
 
     bumps = [_bump_for(c) for c in ordered]
-    gated = bumps[:K] + [ProductFn(one_minus, b) for b in bumps[K:]]
+    gated = bumps[:K] + [VecScaleFn(one_minus, b) for b in bumps[K:]]
     return _partition(gated, ordered, V), K, U
 
 

@@ -620,9 +620,8 @@ def cyl_constant(T: LinOp, budget=64, seed=0, return_basis=False):
         best_val, _, best_B = scored[0]
 
         # coordinate-wise refinement with step halving on the few best candidates
-        for _, _, B in scored[:4]:
+        for val, _, B in scored[:4]:
             B = B.copy()
-            val = objective(B)
             step = 0.1
             while step >= 1e-6:
                 improved = False

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (ConstructionError, HypothesisError, InputError,
                      ResolutionError, check_size)
-from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, OuterFn, PlateauFn,
-                 ProductFn, SumFn, VecScaleFn, ZeroFn)
+from .fn import (ConstFn, GridFn2D, LinearFn, LipFn, PlateauFn, SumFn,
+                 VecScaleFn, ZeroFn)
 from .regions import (BoxUnion, CurveSpec, EmptyRegion, Intersection,
                       LatticeDP, Region, box_region, pu_cover,
                       room_inside, xi_estimate)
@@ -39,15 +39,16 @@ from .verify import dyadic_radius, fd_jacobian
 @dataclass
 class SteepSpec:
     """The steep function of G for the functional P and cone parameter
-    alpha, on a grid of step h.  The terminal-ray samples are h/2 apart
-    (s_res) and the output grid extends 4h beyond the bounding box of G
-    (out_pad); both follow from h."""
+    alpha, on a grid of step h.  Curves take lattice steps of range k = 3,
+    the terminal-ray samples are h/2 apart (s_res) and the output grid
+    extends 4h beyond the bounding box of G (out_pad); the last two follow
+    from h."""
 
     G: Region
     P: Functional
     alpha: float
     h: float
-    k: int = 3             # lattice step range of the curve class
+    k: int = field(init=False)
     s_res: float = field(init=False)
     out_pad: float = field(init=False)
 
@@ -56,6 +57,7 @@ class SteepSpec:
             raise InputError("alpha must lie in (0, 1)")
         if not (0.0 < self.h < np.inf):
             raise InputError("grid step must be positive and finite")
+        self.k = 3
         self.s_res = self.h / 2.0
         self.out_pad = 4.0 * self.h
         v = self.P.attain_dir
@@ -114,7 +116,7 @@ def build_steep(spec: SteepSpec) -> LipFn:
     ray_max = _ray_max_axis if axis_ray else _ray_max_scan
     vals = ray_max(GridFn2D(dp.lo, h, best), out_lo, (nxo, nyo), v, s_grid)
     vals = np.maximum(vals, 0.0) * pn
-    return GridFn2D(out_lo, h, vals, lip_bound=None)
+    return GridFn2D(out_lo, h, vals)
 
 
 def _ray_max_scan(best_fn, out_lo, shape, v, s_grid):
@@ -289,7 +291,8 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
     E, gated by a C1 plateau that is 1 on a neighborhood of E and 0 outside
     U.  Attributes on g: gap (discretization), cyl_value (c(T)) and parts,
     per kept coordinate a dict of coord, eps, eps_formal, cover_level,
-    cover_met, xi_value, xi_gap, vmax, w_norm, P_norm and grid_h.
+    cover_met, xi_value, xi_gap, vmax, w_norm, P_norm and grid_h; a ZeroFn g
+    (no coordinate kept) carries none of them.
     """
     if not (0.0 < theta < np.inf):
         raise InputError("theta must be positive and finite")
@@ -350,8 +353,8 @@ def build_pu_map(E: Region, U: Region, T: LinOp, theta, h=None, cover_budget=6,
         vmax = float(np.max(s.values)) if isinstance(s, GridFn2D) else 0.0
         c_i = vmax / 2.0
         centered = SumFn([s, ConstFn([-c_i], d)], [1.0, 1.0])
-        gated = ProductFn(plateau, centered)
-        terms.append(OuterFn(gated, np.asarray(w, dtype=float).ravel()))
+        gated = VecScaleFn(plateau, centered)
+        terms.append(VecScaleFn(gated, ConstFn(w, d)))
         total_sup += w_norm * vmax / 2.0
         # discretization part only: the cone slope is budgeted under theta
         total_gap += w_norm * ti_norm * (2.0 * h_i * (1 + spec.k) + spec.s_res)
@@ -399,10 +402,7 @@ def _zero_pu_map(E: Region, T: LinOp):
     else:
         loE, hiE = E.bounds("E")
         H = box_region(loE - 1e-3, hiE + 1e-3, open_=True)
-    g = ZeroFn(T.dom.dim, T.cod.dim)
-    g.gap = 0.0
-    g.parts = []
-    return g, H
+    return ZeroFn(T.dom.dim, T.cod.dim), H
 
 
 def pu_map_certificate(g: LipFn, H: Region, U: Region, T: LinOp, theta,

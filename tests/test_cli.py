@@ -358,6 +358,9 @@ def test_exit_code_config_errors(files, tmp_path):
             (["cyl", "--op"], "op", ("space", "dom", "dim"), "two"),
             (smooth, "dist", ("dag", "center"), ["0x1p-1"]),
             (smooth, "dist", ("dim",), 3),
+            # tags of the products that vecscale took over
+            (smooth, "dist", ("dag", "node"), "outer"),
+            (smooth, "dist", ("dag", "node"), "product"),
             (pumap, "E", ("meta", "level"), None),
             (pumap, "E", ("meta", "ratio"), "0x1p-2")]:
         doc = load_path(files[name])

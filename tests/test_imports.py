@@ -36,10 +36,8 @@ import lipforge
 SRC = os.path.dirname(lipforge.__file__)
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
-SETTABLE_DEFAULTS = 66
+SETTABLE_DEFAULTS = 62
 PATCHED_ATTRIBUTES = [
-    ("steep.py", "_zero_pu_map", "g.gap"),
-    ("steep.py", "_zero_pu_map", "g.parts"),
     ("steep.py", "build_pu_map", "g.cyl_value"),
     ("steep.py", "build_pu_map", "g.gap"),
     ("steep.py", "build_pu_map", "g.parts"),

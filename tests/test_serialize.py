@@ -3,8 +3,9 @@ every node's rows evaluated alone and in a batch.
 
 `serialize_docs.json` holds, for every case below, the canonical JSON that
 the hand-written per-class encoders wrote before the field table replaced
-them.  Running this module as a script prints the documents the current
-code writes, in the same layout.
+them (the two vecscale cases that took over the outer and product nodes
+are pinned as the field table writes them).  Running this module as a
+script prints the documents the current code writes, in the same layout.
 """
 
 import json
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from lipforge import fn, regions
 from lipforge.fn import (BlendFn, BoxBumpFn, ConstFn, ConvexShiftCombFn,
                          DistFn, GridFn2D, LinearFn, LipFn, LocalAffineSurgeryFn,
-                         NormalizedBumpFn, OuterFn, PlateauFn, ProductFn,
-                         RadialBumpFn, RegionSwitchFn, SumFn, VecScaleFn, ZeroFn)
+                         NormalizedBumpFn, PlateauFn, RadialBumpFn, RegionSwitchFn,
+                         SumFn, VecScaleFn, ZeroFn)
 from lipforge.regions import (BallUnion, BoxUnion, Complement, EmptyRegion,
                               Intersection, Region, UnionRegion, box_region,
                               gen_four_corner)
@@ -72,9 +73,6 @@ NODE_CASES = {
     "dist": _dist,
     "dist-hex-offset": lambda: DistFn(HEX, [0.3, -0.1], offset=0.3),
     "dist-weighted": lambda: DistFn(WL1, [0.0, 1.0]),
-    "outer": lambda: OuterFn(_dist(), [1.0, -0.5]),
-    "outer-lip": lambda: OuterFn(_dist(), [1.0, -0.5], lip_bound=0.7),
-    "product": lambda: ProductFn(_dist(), _rbump()),
     "blend": lambda: BlendFn(0.5, 1.5, _lin(), ZeroFn(2, 2), L2),
     "blend-lip1": lambda: BlendFn(0.5, 1.5, _lin(), ZeroFn(2, 2), LINF, lip1=0.5),
     "blend-lip12": lambda: BlendFn(0.25, 1.0, ZeroFn(2, 2), _lin(), HEX,
@@ -82,12 +80,12 @@ NODE_CASES = {
     "surgery": lambda: _surgery(None),
     "surgery-lip": lambda: _surgery(1.5),
     "grid2d": lambda: GridFn2D([0.0, -0.5], 0.5, [[0.0, 0.1, 0.2], [1.0, 1.5, -0.25]]),
-    "grid2d-lip": lambda: GridFn2D([0.1, 0.0], 0.25, [[0.5, 0.75]], lip_bound=2.0),
     "boxbump": _boxbump,
     "rbump": _rbump,
     "plateau": lambda: PlateauFn([0.0, 0.0], [1.0, 1.0], [0.25, 0.25], [0.75, 0.75]),
     "vecscale": lambda: VecScaleFn(_rbump(), _lin()),
-    "vecscale-lip": lambda: VecScaleFn(_rbump(), _lin(), lip_bound=3.0),
+    "vecscale-scalar": lambda: VecScaleFn(_dist(), _rbump()),
+    "vecscale-const": lambda: VecScaleFn(_dist(), ConstFn([1.0, -0.5], 2)),
     "pou-element": lambda: NormalizedBumpFn([_boxbump(), _rbump()], 1),
     "region-switch": lambda: RegionSwitchFn(box_region([0, 0], [1, 1]), _lin(),
                                             ConstFn([1.0, 2.0], 2)),
@@ -157,7 +155,7 @@ def test_every_node_tag_and_region_kind_is_covered():
 
 def test_optional_fields_set_and_unset():
     """Every optional key is written by one case and left out by another."""
-    lip_tags = {"linear", "outer", "surgery", "grid2d", "vecscale", "region-switch"}
+    lip_tags = {"linear", "surgery", "region-switch"}
     docs = [build().to_doc() for build in NODE_CASES.values()]
     for tag in lip_tags:
         have = [("lip" in d) for d in docs if d["node"] == tag]
@@ -218,12 +216,24 @@ def test_surgery_rows_with_a_full_operator_do_not_depend_on_the_batch():
 def test_unknown_tag_and_kind_rejected():
     from lipforge.errors import InputError
 
-    # "mollified" tagged the shift combination of an earlier format
-    for tag in ("no-such-node", "mollified"):
+    # "mollified" tagged the shift combination of an earlier format, and
+    # "outer" and "product" the products that vecscale took over
+    for tag in ("no-such-node", "mollified", "outer", "product"):
         with pytest.raises(InputError):
             LipFn.from_doc({"node": tag})
     with pytest.raises(InputError):
         Region.from_doc({"kind": "no-such-region"})
+
+
+def test_lip_key_on_grid_and_vecscale_is_ignored():
+    for name in ("grid2d", "vecscale"):
+        f = NODE_CASES[name]()
+        doc = f.to_doc()
+        doc["lip"] = "0x1.0000000000000p+1"
+        g = LipFn.from_doc(doc)
+        assert g.lip_bound is None
+        assert g.to_doc() == f.to_doc()
+        _assert_same_fn(f, g)
 
 
 def test_missing_required_key_raises_key_error():
@@ -268,9 +278,8 @@ def ball_unions(draw):
 def grids(draw):
     nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     vals = draw(st.lists(coord, min_size=nx * ny, max_size=nx * ny))
-    lip = draw(st.none() | pos)
     return GridFn2D(draw(st.tuples(coord, coord)), draw(pos),
-                    np.reshape(vals, (nx, ny)), lip_bound=lip)
+                    np.reshape(vals, (nx, ny)))
 
 
 @st.composite

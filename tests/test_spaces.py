@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lipforge.errors import DescriptorError, InputError
-from lipforge.fn import BlendFn, DistFn, LinearFn, OuterFn
+from lipforge.fn import BlendFn, ConstFn, DistFn, LinearFn, VecScaleFn
 from lipforge.spaces import (PAIR_BLOCK, Functional, LinOp, NormedSpace,
                              OperatorFamily, cyl_constant, dense_ball_sequence,
                              lp_space, op_norm, op_norm_upper)
@@ -64,10 +64,10 @@ def test_exact_evaluators_match_float(rng):
         # the nodes that read the norm, on every branch of the blend
         dist = DistFn(sp, [0.3, -0.2])
         blend = BlendFn(0.5, 1.5, LinearFn([[0.4, -0.3]]), dist, sp)
-        outer = OuterFn(dist, [1.0, -0.5])
+        scaled = VecScaleFn(dist, ConstFn([1.0, -0.5], 2))
         n = sp.norm(X)
         assert (n <= 0.5).any() and (n >= 1.5).any() and ((n > 0.5) & (n < 1.5)).any()
-        for f in (dist, blend, outer):
+        for f in (dist, blend, scaled):
             got = np.array([[float(v) for v in f.eval_exact(x)] for x in Xf])
             assert np.max(np.abs(got - f.eval(X))) <= 1e-12, (sp, f.tag)
 

@@ -258,6 +258,42 @@ def test_pu_map_numerically_zero_operator(l2_2):
     assert all(v for k, v in cert.items() if k.endswith("_ok")), cert
 
 
+def test_zero_pu_map_certificate(l2_2):
+    # a bare ZeroFn certifies through the certificate's defaults: gap 0, and
+    # grid_h 1e-3 with no parts
+    U = box_region([-1, -1], [2, 2], open_=True)
+    zero = {"gap": 0.0, "fd_residual": 0.0, "fd_ok": True, "sup_norm": 0.0,
+            "sup_ok": True, "support_leak": 0.0, "support_ok": True,
+            "lip_sampled": 0.0, "lip_ok": True}
+    for E, T, want in (
+            (gen_four_corner(1), LinOp.build(np.zeros((2, 2)), l2_2, l2_2),
+             dict(zero, n_H_points=40)),
+            (EmptyRegion(2), LinOp.build(0.5 * np.eye(2), l2_2, l2_2), zero)):
+        g, H = build_pu_map(E, U, T, 0.2)
+        assert type(g) is ZeroFn and not hasattr(g, "parts")
+        assert pu_map_certificate(g, H, U, T, 0.2, n_points=40) == want
+
+
+def test_pu_map_terms_follow_the_product_formula(l2_2):
+    # on the pumap benchmark's inputs (one kept coordinate), g is
+    # plateau(X) (s(X) - c) w to the bit, products taken in that order
+    E = gen_four_corner(3)
+    U = box_region([-2.0, -2.0], [3.0, 3.0], open_=True)
+    T = LinOp.build(np.array([[0.5, 0.0], [0.0, 0.0]]), l2_2, l2_2)
+    g, _ = build_pu_map(E, U, T, 0.3, h=1.0 / 128.0, cover_budget=3, seed=1)
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.uniform(-2.2, 3.2, (4000, 2)),
+                   rng.uniform(E.lo, E.hi, (len(E.lo), 2)),
+                   rng.uniform(-0.1, 1.1, (4000, 2))])
+    assert len(g.terms) == len(g.parts) == 1
+    (term,), (part,) = g.terms, g.parts
+    plateau, centered = term.scalar.scalar, term.scalar.vec
+    s, shift = centered.terms
+    c, w = -shift.vec[0], term.vec.vec
+    assert isinstance(plateau, PlateauFn) and c == part["vmax"] / 2.0
+    assert np.array_equal(g(X), plateau(X) * (s(X) - c) * w)
+
+
 def _pu_map_certificate_whole_array(g, H, U, T, theta, n_points, fd_step, seed):
     """pu_map_certificate as it was with one draw per box and the interior
     filter run on every drawn row at once: the oracle for the prefix filter."""

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lipforge.errors import DomainError
-from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, LipFn, OuterFn,
-                         PlateauFn, ProductFn, RadialBumpFn, SumFn, ZeroFn)
+from lipforge.fn import (ConstFn, DistFn, GridFn2D, LinearFn, LipFn, PlateauFn,
+                         RadialBumpFn, SumFn, VecScaleFn, ZeroFn)
 from lipforge import verify
 from lipforge.game import POLICIES, _exact_unit_dirs, run_bm_game
 from lipforge.regions import box_region, gen_four_corner
@@ -141,7 +141,7 @@ def test_fd_jacobian_batch_equals_single_points():
     rng = np.random.default_rng(5)
     grid = GridFn2D([-1.0, -1.0], 0.1, rng.uniform(-1, 1, (21, 21)))
     plateau = PlateauFn([-1.0, -1.0], [1.0, 1.0], [-0.5, -0.5], [0.5, 0.5])
-    composite = ProductFn(plateau, SumFn([grid, ConstFn([-0.25], 2)]))
+    composite = VecScaleFn(plateau, SumFn([grid, ConstFn([-0.25], 2)]))
     X = rng.uniform(-1.2, 1.2, (40, 2))
     for f in (Poly(), composite):
         J = fd_jacobian(f, X, 1e-3)
@@ -190,7 +190,7 @@ def test_dyadic_radius_matches_point_loop(l2_2):
         [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0], [-0.5, np.sqrt(3.0) / 2.0]]})
     grid = GridFn2D([-1.0, -1.0], 0.05, rng.uniform(-0.2, 0.2, (41, 41)))
     smooth = SumFn([Poly(), LinearFn(rng.uniform(-1, 1, (2, 2)))])
-    rough = SumFn([Poly(), OuterFn(grid, [1.0, -0.5])])
+    rough = SumFn([Poly(), VecScaleFn(grid, ConstFn([1.0, -0.5], 2))])
     found = set()
     for k in range(12):
         pts = rng.uniform(-0.5, 0.5, (int(rng.integers(1, 6)), 2))
