@@ -16,7 +16,7 @@ G = box_region([-0.1, -2.0], [1.1, 2.0])
 spec = SteepSpec(G, P, alpha=0.3, h=0.05)
 
 g = build_steep(spec)
-props, gap = check_steep_properties(g, spec, n=200)
+props, gap = check_steep_properties(g, spec)
 print("reported discretization gap:", gap)
 
 # crossing the strip along e1 gains exactly 1 (= ||P||), up to the gap

@@ -377,6 +377,8 @@ class CurveSpec:
         if d != 2:
             raise InputError("lattice curve estimator supports d = 2")
         k = int(self.k)
+        if k < 1:
+            raise InputError("the step range k must be >= 1")
         check_size((2 * k + 1) ** 2, "%d x %d candidate steps" % (2 * k + 1, 2 * k + 1))
         r = np.arange(-k, k + 1)
         ij = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -419,11 +421,13 @@ class LatticeDP:
     Nodes are swept in bins floor((P(x) - min P) / (w / 2)), where w is the
     smallest P-increment of an admissible step. Every edge raises P by at
     least w, so it leaves an earlier bin: all sources of a bin are final
-    before the bin is swept, whatever the bin boundaries. A node takes the
-    first step, in step order, that attains its best value, and keeps the
-    inside length of that incoming edge in in_len. A bin finds its sources
-    through an index map whose border holds a sentinel node of value -inf
-    (see _run), so no bin tests the lattice bounds.
+    before the bin is swept, whatever the bin boundaries. The sweep keeps
+    only each node's best value. A bin finds its sources through an index
+    map whose border holds a sentinel node of value -inf (see _run), so no
+    bin tests the lattice bounds. The one witness is then walked back from
+    the best node by the sweep's rule, the first step in step order that
+    attains a node's best: path holds its nodes, first node first, and
+    path_inside the inside length of each of its edges.
     """
 
     def __init__(self, G, spec: CurveSpec, bbox=None, pad=1):
@@ -441,6 +445,8 @@ class LatticeDP:
         nodes = np.empty(self.shape + (2,))
         nodes[..., 0] = (self.lo[0] + np.arange(self.shape[0]) * h)[:, None]
         nodes[..., 1] = self.lo[1] + np.arange(self.shape[1]) * h
+        if not np.isfinite(nodes).all():
+            raise InputError("the grid step puts lattice nodes past float range")
         self.nodes = nodes.reshape(-1, 2)
         self.n = len(self.nodes)
         self._run()
@@ -463,7 +469,8 @@ class LatticeDP:
         per node: equal t0 of a node merge in box order, on which the sums
         depend. A pair's x bound is its box's x-window entry, repeated over
         the box's y window; its y bound is gathered from the y windows. A
-        step's arrays hold one entry per pair: the sum of the window areas.
+        step's arrays hold one entry per pair: the sum of the window areas,
+        which check_size caps.
         """
         n, ns = self.n, len(self.spec.step_set)
         steps = np.array(self.spec.step_set, dtype=float) * self.h
@@ -478,6 +485,8 @@ class LatticeDP:
         last = np.ceil((G.hi - np.minimum(steps.min(axis=0), 0.0) - self.lo) / self.h) + 1
         first = np.clip(first, 0, shape).astype(np.int64)
         size = np.maximum(np.clip(last, -1, shape - 1).astype(np.int64) - first + 1, 0)
+        pairs = float(np.sum(size[:, 0].astype(float) * size[:, 1]))
+        check_size(pairs, "%.3g (box, node) pairs of overlapping boxes" % pairs)
         coords = (self.nodes[::self.shape[1], 0], self.nodes[:self.shape[1], 1])
         # an axis's bounds depend on a step only through its component there
         comp, which = zip(*(np.unique(steps[:, ax], return_inverse=True) for ax in (0, 1)))
@@ -511,8 +520,10 @@ class LatticeDP:
         widened by the steps' reach (at most the lattice size, since a step
         past it has no source on the lattice): node indices inside, the
         sentinel n in the border. best[n] = -inf and the edge table's column
-        n is 0, so no bin tests bounds. Each node is a target once, and its
-        best is still 0 then, so it takes its top candidate when positive.
+        n is 0, so no bin tests bounds. Each node is a target once and takes
+        its top candidate when positive, else 0. The walk back gathers one
+        node's candidates as its bin did; their best values are final, so it
+        sees the values the sweep saw. The lattice is a DAG, so it ends.
         """
         spec = self.spec
         nx, ny = self.shape
@@ -536,39 +547,24 @@ class LatticeDP:
         elens = self._edge_table().ravel()
         rows = np.arange(ns)[:, None] * (n + 1)
         best = np.append(np.zeros(n), -np.inf)
-        parent = np.full(n, -1, dtype=np.int64)
-        in_len = np.zeros(n)
         for a, b in zip(starts, ends):
             at = pos[a:b]
-            tgt = node_at[at]
             src = node_at[at - offs]
-            edge = src + rows
-            cand = best[src] + elens[edge]
-            sidx = cand.argmax(axis=0)
-            cols = np.arange(b - a)
-            top = cand[sidx, cols]
-            upd = top > 0.0
-            best[tgt] = np.where(upd, top, 0.0)
-            parent[tgt] = np.where(upd, src[sidx, cols] * ns + sidx, -1)
-            in_len[tgt] = np.where(upd, elens[edge[sidx, cols]], 0.0)
-        self.best = best[:n]
-        self.parent = parent
-        self.in_len = in_len
-
-    def path(self):
-        """Node indices of the witness curve, first node first."""
-        cur = int(np.argmax(self.best))
-        path = [cur]
-        seen = set()
-        while self.parent[cur] >= 0 and cur not in seen:
-            seen.add(cur)
-            cur = int(self.parent[cur]) // len(self.spec.step_set)
+            top = (best[src] + elens[src + rows]).max(axis=0)
+            best[node_at[at]] = np.where(top > 0.0, top, 0.0)
+        # the witness, walked back from the best node
+        cur = int(np.argmax(best))
+        path, inside = [cur], []
+        while best[cur] > 0.0:
+            src = node_at[(cur // ny + rx) * wy + cur % ny + ry - offs[:, 0]]
+            edge = src + rows[:, 0]
+            sidx = int(np.argmax(best[src] + elens[edge]))
+            inside.append(elens[edge[sidx]])
+            cur = int(src[sidx])
             path.append(cur)
-        path.reverse()
-        return np.array(path)
-
-    def witness(self):
-        return self.nodes[self.path()]
+        self.best = best[:n]
+        self.path = np.array(path[::-1])
+        self.path_inside = np.array(inside[::-1])
 
     def value(self):
         return float(np.max(self.best))
@@ -578,11 +574,10 @@ def xi_estimate(G, spec: CurveSpec, bbox=None):
     """(value, gap, witness path).  Lower-bound estimate over lattice curves."""
     dp = LatticeDP(G, spec, bbox=bbox)
     value = dp.value()
-    path = dp.path()
-    wit = dp.nodes[path]
+    wit = dp.nodes[dp.path]
     if isinstance(G, BoxUnion):
         # an edge crosses the boundary when it lies partly inside the union
-        ln = dp.in_len[path[1:]]
+        ln = dp.path_inside
         full = np.linalg.norm(np.diff(wit, axis=0), axis=1)
         crossings = int(np.count_nonzero((ln > 1e-12) & (ln < full - 1e-12)))
     else:

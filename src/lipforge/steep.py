@@ -174,13 +174,13 @@ def _ray_max_axis(best_fn, out_lo, shape, v, s_grid):
     return np.moveaxis(out, 0, k)
 
 
-def check_steep_properties(g: LipFn, spec: SteepSpec, n=300, seed=0):
+def check_steep_properties(g: LipFn, spec: SteepSpec, seed=0):
     """(props, gap) for g = build_steep(spec): props maps each property to
-    its sampled (worst residual, allowed bound), met when residual <= bound;
-    gap = ||P|| (xi_gap + 2h (1 + k) + s_res), xi_gap that of G's curve-mass
-    estimate, which also caps (i).  A trivial case's ZeroFn gets the single
-    entry zero and gap 0."""
-    rng = np.random.default_rng(seed)
+    its (worst residual, allowed bound) over 300 sampled points, met when
+    residual <= bound; gap = ||P|| (xi_gap + 2h (1 + k) + s_res), xi_gap
+    that of G's curve-mass estimate, which also caps (i).  A trivial case's
+    ZeroFn gets the single entry zero and gap 0."""
+    rng, n = np.random.default_rng(seed), 300
     if isinstance(g, ZeroFn):
         return {"zero": (0.0, 0.0)}, 0.0
     P = spec.P

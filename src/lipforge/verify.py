@@ -253,7 +253,7 @@ def dyadic_radius(g: LipFn, pts, dirs, exps, linear, too_far):
     return None
 
 
-def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
+def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4)):
     """Two-step-size agreement of central-difference Jacobians plus a
     first-order model consistency probe.
 
@@ -261,7 +261,7 @@ def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
     the region where f should be C1; steps are (h, h/2).
     Passes iff at every point ||J_h - J_{h/2}|| and the one-sided residual
     ||f(x + h e_i) - f(x) - h J[:, i]|| / h are both within
-    rich_tol * max(1, ||J_{h/2}||).  The one-sided probe catches kinks that
+    0.15 * max(1, ||J_{h/2}||).  The one-sided probe catches kinks that
     sit exactly at the sample point, where central differences cancel.
     Returns (passed, worst relative residual, worst point): the first point
     with the largest residual, or None when none is positive.  A NaN
@@ -286,4 +286,4 @@ def c1_check(f: LipFn, pts, steps=(1e-3, 5e-4), rich_tol=0.15):
     if rel[k] == 0.0:
         return True, 0.0, None
     worst = float(rel[k])
-    return worst <= rich_tol, worst, X[k]
+    return worst <= 0.15, worst, X[k]

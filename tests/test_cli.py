@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 import lipforge
 from lipforge import gridfile, svg
 from lipforge.colormap import TABLE
-from lipforge.cli import run_cli
+from lipforge.cli import build_parser, run_cli
 from lipforge.errors import DP_NODE_CAP
 from lipforge.fn import DistFn, LinearFn, LocalAffineSurgeryFn, fn_to_file_doc
-from lipforge.regions import Complement, EmptyRegion, box_region, gen_four_corner
+from lipforge.regions import BoxUnion, Complement, EmptyRegion, box_region, gen_four_corner
 from lipforge.serialize import dec_float, dump_path, enc_float, load_path
 from lipforge.spaces import LinOp, lp_space
 
@@ -36,6 +36,8 @@ def files(tmp_path, l2_2):
     dump_path(gen_four_corner(1).to_doc(), paths["E"])
     paths["Q"] = str(tmp_path / "Q.json")
     dump_path(box_region([-1.0, -1.0], [2.0, 2.0]).to_doc(), paths["Q"])
+    paths["copies"] = str(tmp_path / "copies.json")
+    dump_path(BoxUnion(np.zeros((400, 2)), np.ones((400, 2))).to_doc(), paths["copies"])
     paths["op"] = str(tmp_path / "op.json")
     T = LinOp.build(np.array([[0.3, 0.0], [0.0, -0.2]]), l2_2, l2_2)
     dump_path(T.to_doc(), paths["op"])
@@ -379,6 +381,7 @@ def test_exit_code_config_errors(files, tmp_path):
 @pytest.mark.parametrize("command, grid, code", [
     ("xi", "nan", 2), ("xi", "inf", 2), ("steep", "inf", 2),
     ("xi", "1e-300", 4),  # finite, but the lattice would not fit in memory
+    ("xi", "1e308", 2),  # finite, but the lattice nodes would not be
 ])
 def test_lattice_step_finite_and_bounded(files, tmp_path, command, grid, code):
     argv = [command, "--region", files["Q"], "--p", "1,0", "--alpha", "0.4",
@@ -416,6 +419,50 @@ def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     assert run_cli(argv) == 2
 
 
+# one valid, cheap run of each subcommand; pumap takes the zero operator, as
+# with a nonzero one a huge --theta is a valid request that builds for seconds
+SWEEP_BASE = {
+    "cantor": ["--level", "1", "--out", "{tmp}/E.json"],
+    "cyl": ["--op", "{op}"],
+    "xi": ["--region", "{Q}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25"],
+    "steep": ["--region", "{Q}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25",
+              "--out", "{tmp}/o"],
+    "pumap": ["--set", "{E}", "--u", "{Q}", "--op", "{op0}", "--theta", "0.3",
+              "--out", "{tmp}/o"],
+    "prescribe": ["--q", "{Q}", "--set", "{E}", "--op", "{op}", "--r", "0.4",
+                  "--s", "0.05", "--out", "{tmp}/o"],
+    "game": ["--set", "{E}", "--q", "{Q}", "--op", "{op_inf}", "--rounds", "1",
+             "--out", "{tmp}/o"],
+    "smooth": ["--fn", "{dist}", "--set", "{E}", "--q", "{Q}", "--eps", "0.1",
+               "--out", "{tmp}/o"],
+    "verify": ["--fn", "{fn}", "--point", "0,0", "--ops", "{op}", "--scales", "0.1"],
+    "plot": ["--fn", "{fn}", "--bbox", "0,0;1,1", "--out", "{tmp}/x.svg"],
+}
+SWEEP_VALUES = {float: ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-300"],
+                int: ["-1", "0", str(2 ** 63)]}
+
+
+def _numeric_flags():
+    """(subcommand, flag, type) of every int or float flag the parser takes."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0], a.type) for name, sp in sub.choices.items()
+            for a in sp._actions if a.type in (int, float)]
+
+
+# every numeric flag of every subcommand, given each extreme value as
+# --flag=value (so -inf is read as a value): a run ends with a documented
+# exit code within a second, never with a traceback
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flag, kind in _numeric_flags()
+    for value in SWEEP_VALUES[kind]])
+def test_numeric_flag_sweep(files, command, flag, value):
+    argv = [command] + [a.format(**files) for a in SWEEP_BASE[command]]
+    start = time.perf_counter()
+    assert run_cli(argv + ["%s=%s" % (flag, value)]) in (0, 2, 3, 4)
+    assert time.perf_counter() - start < 1.0
+
+
 # each size flag one step past DP_NODE_CAP: the library refuses the size
 # where it computes it, before it allocates, exit 4
 @pytest.mark.parametrize("argv", [
@@ -430,6 +477,8 @@ def test_exit_code_bad_numeric_flags(files, tmp_path, argv):
     ["cyl", "--op", "{op}", "--budget", "4000000"],  # the identity and 4M bases
     ["xi", "--region", "{Q}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.25",
      "--k", "1000"],  # 2001 x 2001 candidate steps
+    # 400 copies of the unit box: 400 edge-table windows of 103 x 103 nodes
+    ["xi", "--region", "{copies}", "--p", "1,0", "--alpha", "0.4", "--grid", "0.01"],
 ])
 def test_exit_code_size_flag_past_the_cap(files, tmp_path, capsys, argv):
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o")]

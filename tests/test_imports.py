@@ -36,7 +36,7 @@ import lipforge
 SRC = os.path.dirname(lipforge.__file__)
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
-SETTABLE_DEFAULTS = 62
+SETTABLE_DEFAULTS = 60
 PATCHED_ATTRIBUTES = [
     ("steep.py", "build_pu_map", "g.cyl_value"),
     ("steep.py", "build_pu_map", "g.gap"),

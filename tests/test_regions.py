@@ -357,7 +357,7 @@ def test_lattice_dp_single_box_value(l2_2):
     dp = LatticeDP(G, CurveSpec(P, 0.9, 0.25, k=1), pad=1)
     # only in-G length counts: crossing the box gathers exactly 1.0
     assert dp.value() == pytest.approx(1.0, abs=1e-9)
-    wit = dp.witness()
+    wit = dp.nodes[dp.path]
     pv = wit @ np.array([1.0, 0.0])
     assert np.all(np.diff(pv) > 0)
 
@@ -419,8 +419,14 @@ def _seeded_region(rng, kind, scale=1.0):
 def _assert_sweeps_equal(dp):
     best, parent, in_len = _masked_sweep(dp)
     assert np.array_equal(dp.best, best)
-    assert np.array_equal(dp.parent, parent)
-    assert np.array_equal(dp.in_len, in_len)
+    assert np.array_equal(np.signbit(dp.best), np.signbit(best))
+    # the witness is the oracle's parent chain back from the best node
+    path = [int(np.argmax(best))]
+    while parent[path[-1]] >= 0:
+        path.append(int(parent[path[-1]]) // len(dp.spec.step_set))
+    path.reverse()
+    assert np.array_equal(dp.path, path)
+    assert np.array_equal(dp.path_inside, in_len[path[1:]])
 
 
 @pytest.mark.parametrize("p", [1, 2, "inf"])

@@ -194,7 +194,7 @@ def test_steep_properties_within_gap(l2_2):
                  np.array([[0.4, 0.3], [0.9, 0.9]]))
     spec = SteepSpec(G, P, 0.35, 0.05)
     g = build_steep(spec)
-    props, _ = check_steep_properties(g, spec, n=200, seed=1)
+    props, _ = check_steep_properties(g, spec, seed=1)
     for name, (res, bound) in props.items():
         assert res <= bound + 1e-9, (name, res, bound)
 
